@@ -5,7 +5,7 @@
 use mica_experiments::profile::{check_cache, profile_benchmark, profile_fingerprint, CacheMiss};
 use mica_experiments::results::ProfileSet;
 use mica_workloads::benchmark_table;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn init() -> PathBuf {
     std::env::set_var("MICA_LOG", "off");
@@ -198,4 +198,20 @@ fn rejected_cache_emits_structured_warn() {
     assert_eq!(reason, "parse");
 
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// The committed `results/` were profiled from the current table: their
+/// `profiles.json` carries exactly today's [`profile_fingerprint`]. A
+/// kernel or table edit that trips this changes every cache key, so it
+/// must regenerate `results/` (with a provenance note) in the same change.
+#[test]
+fn committed_results_carry_the_current_fingerprint() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/profiles.json");
+    let committed = ProfileSet::load(&path).expect("committed results/profiles.json loads");
+    assert_eq!(
+        profile_fingerprint(),
+        committed.fingerprint,
+        "profile_fingerprint() no longer matches {}",
+        path.display()
+    );
 }

@@ -136,9 +136,8 @@ impl Engine {
         let space = QuerySpace::build(&set, 8);
         let by_name = set.records.iter().enumerate().map(|(i, r)| (r.name.clone(), i)).collect();
         let index_dir = results.join("serve-index");
-        // `profile_fingerprint()` re-assembles all 122 reference kernels per
-        // call; the loaded set already carries the value, so thread it through
-        // instead of recomputing per shard.
+        // Key the index on the loaded set's own fingerprint: it states which
+        // reference set this server answers from, whatever the cache held.
         let index = load_index(&index_dir, set.fingerprint);
         if !index.is_empty() {
             obs::info!("warmed submission index with {} entries", index.len());

@@ -170,7 +170,7 @@ fn robustness_envelope_end_to_end() {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    // Fingerprints once: each call re-assembles all 122 reference kernels.
+    // Fingerprint once, outside the per-answer loop.
     let table_fp = mica_workloads::table_fingerprint();
     let profile_fp = mica_experiments::profile::profile_fingerprint();
     for (i, resp) in answers {

@@ -4,12 +4,13 @@
 
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE, STACK_TOP};
-use tinyisa::{regs::*, Asm, AsmError, Vm};
+use super::Emitted;
+use tinyisa::{regs::*, Asm, AsmError};
 
 /// Banded Smith-Waterman-style alignment of two sequences over a given
 /// alphabet: the DP core of clustalw, fasta, ce and predator. The DP row
 /// buffer working set scales with `band`.
-pub(crate) fn dp_align(m: u64, band: u64, alphabet: u8, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn dp_align(m: u64, band: u64, alphabet: u8, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // seq A (m bytes)
     a.li(S1, (DATA_BASE + m) as i64); // seq B
@@ -73,17 +74,17 @@ pub(crate) fn dp_align(m: u64, band: u64, alphabet: u8, seed: u64) -> Result<Vm,
     a.blt(T0, S4, i_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_alphabet(vm.mem_mut(), DATA_BASE, m, alphabet);
-    g.fill_alphabet(vm.mem_mut(), DATA_BASE + m, band + 2, alphabet);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_alphabet(mem, DATA_BASE, m, alphabet);
+        g.fill_alphabet(mem, DATA_BASE + m, band + 2, alphabet);
+    }))
 }
 
 /// blast-class database scan: slide a query fingerprint over a very large
 /// sequence database with word-hash seeding; hits trigger a short
 /// verification loop. The database size dominates the data working set.
-pub(crate) fn db_scan(db_bytes: u64, word: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn db_scan(db_bytes: u64, word: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // database
     a.li(S1, DATA2_BASE as i64); // query (64 bytes)
@@ -148,16 +149,16 @@ pub(crate) fn db_scan(db_bytes: u64, word: u64, seed: u64) -> Result<Vm, AsmErro
     a.blt(T0, S3, scan);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_alphabet(vm.mem_mut(), DATA_BASE, db_bytes, 20); // protein-like
-    g.fill_alphabet(vm.mem_mut(), DATA2_BASE, 64, 20);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_alphabet(mem, DATA_BASE, db_bytes, 20); // protein-like
+        g.fill_alphabet(mem, DATA2_BASE, 64, 20);
+    }))
 }
 
 /// glimmer-class interpolated-Markov scoring: walk a sequence, index a
 /// `k`-mer context table of log-probabilities and accumulate.
-pub(crate) fn markov_scan(seq_bytes: u64, order: u32, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn markov_scan(seq_bytes: u64, order: u32, seed: u64) -> Result<Emitted, AsmError> {
     let table_entries = 1u64 << (2 * order); // DNA: 2 bits per base
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // sequence (2-bit coded bases, one per byte)
@@ -193,16 +194,16 @@ pub(crate) fn markov_scan(seq_bytes: u64, order: u32, seed: u64) -> Result<Vm, A
     a.stf(F0, T5, 0);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_alphabet(vm.mem_mut(), DATA_BASE, seq_bytes, 4);
-    g.fill_f64(vm.mem_mut(), DATA2_BASE, table_entries);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_alphabet(mem, DATA_BASE, seq_bytes, 4);
+        g.fill_f64(mem, DATA2_BASE, table_entries);
+    }))
 }
 
 /// hmmer-class Viterbi decoding: integer max-plus DP over `states` HMM
 /// states per sequence position (match/insert/delete transitions).
-pub(crate) fn viterbi(states: u64, steps: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn viterbi(states: u64, steps: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // previous scores (i64 x states)
     a.li(S1, (DATA_BASE + states * 8) as i64); // current scores
@@ -256,17 +257,17 @@ pub(crate) fn viterbi(states: u64, steps: u64, seed: u64) -> Result<Vm, AsmError
     a.blt(T0, S5, t_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_u64_below(vm.mem_mut(), DATA2_BASE, states * 4, 16);
-    g.fill_alphabet(vm.mem_mut(), DATA3_BASE, steps + 1, 20);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_u64_below(mem, DATA2_BASE, states * 4, 16);
+        g.fill_alphabet(mem, DATA3_BASE, steps + 1, 20);
+    }))
 }
 
 /// phylip-class phylogenetic likelihood: post-order traversal of a binary
 /// tree with explicit recursion (call/ret and a real stack), combining
 /// per-site FP likelihoods at each internal node.
-pub(crate) fn phylo_eval(leaves: u64, sites: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn phylo_eval(leaves: u64, sites: u64, seed: u64) -> Result<Emitted, AsmError> {
     let nodes = 2 * leaves - 1;
     let mut a = Asm::new();
     // Node layout (32 bytes): left(u32), right(u32), lik array ptr(u64),
@@ -339,33 +340,33 @@ pub(crate) fn phylo_eval(leaves: u64, sites: u64, seed: u64) -> Result<Vm, AsmEr
     a.bind(after);
     a.ret();
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    // Build a balanced tree: internal node i has children 2i+1, 2i+2 in a
-    // heap-like layout, stored in reverse so the root is the last node.
-    let lik_base = DATA2_BASE;
-    for n in 0..nodes {
-        let node_addr = DATA_BASE + n * 32;
-        // Heap index counted from the root at `nodes - 1`.
-        let heap = nodes - 1 - n;
-        let (l, r) = (2 * heap + 1, 2 * heap + 2);
-        if l < nodes {
-            vm.mem_mut().write_le(node_addr, 4, nodes - 1 - l);
-            vm.mem_mut().write_le(node_addr + 4, 4, nodes - 1 - r);
-        } else {
-            vm.mem_mut().write_le(node_addr, 4, 0xffff_ffff);
-            vm.mem_mut().write_le(node_addr + 4, 4, 0xffff_ffff);
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        // Build a balanced tree: internal node i has children 2i+1, 2i+2 in a
+        // heap-like layout, stored in reverse so the root is the last node.
+        let lik_base = DATA2_BASE;
+        for n in 0..nodes {
+            let node_addr = DATA_BASE + n * 32;
+            // Heap index counted from the root at `nodes - 1`.
+            let heap = nodes - 1 - n;
+            let (l, r) = (2 * heap + 1, 2 * heap + 2);
+            if l < nodes {
+                mem.write_le(node_addr, 4, nodes - 1 - l);
+                mem.write_le(node_addr + 4, 4, nodes - 1 - r);
+            } else {
+                mem.write_le(node_addr, 4, 0xffff_ffff);
+                mem.write_le(node_addr + 4, 4, 0xffff_ffff);
+            }
+            mem.write_le(node_addr + 8, 8, lik_base + n * sites * 8);
+            mem.write_f64(node_addr + 16, 0.5 + g.unit_f64() * 0.5);
         }
-        vm.mem_mut().write_le(node_addr + 8, 8, lik_base + n * sites * 8);
-        vm.mem_mut().write_f64(node_addr + 16, 0.5 + g.unit_f64() * 0.5);
-    }
-    // Leaf likelihoods.
-    for n in 0..nodes {
-        for s in 0..sites {
-            vm.mem_mut().write_f64(lik_base + (n * sites + s) * 8, 0.1 + g.unit_f64());
+        // Leaf likelihoods.
+        for n in 0..nodes {
+            for s in 0..sites {
+                mem.write_f64(lik_base + (n * sites + s) * 8, 0.1 + g.unit_f64());
+            }
         }
-    }
-    Ok(vm)
+    }))
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE};
-use tinyisa::{regs::*, Asm, AsmError, Memory, Vm};
+use super::Emitted;
+use tinyisa::{regs::*, Asm, AsmError, Memory};
 
 /// Fill an input buffer whose compressibility is controlled by `entropy`
 /// (0 = maximally repetitive, 100 = uniform random) — used to mirror the
@@ -19,7 +20,12 @@ fn fill_input(g: &mut DataGen, mem: &mut Memory, base: u64, len: u64, entropy: u
 
 /// gzip/zip-class LZ77 compression: hash the next 3 bytes, probe a chain
 /// table for a previous occurrence, extend the match, emit a token.
-pub(crate) fn lz_compress(bytes: u64, window: u64, entropy: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn lz_compress(
+    bytes: u64,
+    window: u64,
+    entropy: u64,
+    seed: u64,
+) -> Result<Emitted, AsmError> {
     let hash_entries: u64 = 1 << 13;
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // input
@@ -99,17 +105,19 @@ pub(crate) fn lz_compress(bytes: u64, window: u64, entropy: u64, seed: u64) -> R
     a.blt(T0, S3, pos_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    fill_input(&mut g, vm.mem_mut(), DATA_BASE, bytes, entropy);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        fill_input(&mut g, mem, DATA_BASE, bytes, entropy);
+    }))
 }
 
 /// LZ77 decompression of a host-compressed token stream: short branchy
 /// loop of copies — the gzip/zip "decode" sides.
-pub(crate) fn lz_decompress(bytes: u64, entropy: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn lz_decompress(bytes: u64, entropy: u64, seed: u64) -> Result<Emitted, AsmError> {
     // Host-side: generate data, LZ-compress it into (tag, payload) tokens.
     // Tag byte 0 = literal (1 byte follows), 1 = match (u16 offset, u8 len).
+    // The program embeds the token count, so this runs before assembly even
+    // when only the program is wanted.
     let mut g = DataGen::new(seed);
     let mut scratch = Memory::new();
     fill_input(&mut g, &mut scratch, 0, bytes, entropy);
@@ -182,16 +190,16 @@ pub(crate) fn lz_decompress(bytes: u64, entropy: u64, seed: u64) -> Result<Vm, A
     a.blt(T0, S2, t_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    vm.mem_mut().write_bytes(DATA_BASE, &tokens);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        mem.write_bytes(DATA_BASE, &tokens);
+    }))
 }
 
 /// bzip2-flavored block transform: per block, a two-pass counting sort of
 /// leading bytes (histogram + scatter), a move-to-front pass over the sorted
 /// permutation, and run-length counting. Captures bzip2's sort-dominated,
 /// large-working-set behavior.
-pub(crate) fn bwtish(block: u64, entropy: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn bwtish(block: u64, entropy: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // input block
     a.li(S1, DATA2_BASE as i64); // histogram (256 x u32)
@@ -289,10 +297,10 @@ pub(crate) fn bwtish(block: u64, entropy: u64, seed: u64) -> Result<Vm, AsmError
     a.blt(T0, S3, mtf_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    fill_input(&mut g, vm.mem_mut(), DATA_BASE, block, entropy);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        fill_input(&mut g, mem, DATA_BASE, block, entropy);
+    }))
 }
 
 #[cfg(test)]

@@ -3,11 +3,17 @@
 
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE};
-use tinyisa::{regs::*, Asm, AsmError, Vm};
+use super::Emitted;
+use tinyisa::{regs::*, Asm, AsmError};
 
 /// A Feistel-network block cipher with S-box lookups (CAST/Blowfish class):
 /// `rounds` rounds over 8-byte blocks, four `1 << sbox_bits`-entry S-boxes.
-pub(crate) fn feistel(blocks: u64, rounds: u64, sbox_bits: u32, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn feistel(
+    blocks: u64,
+    rounds: u64,
+    sbox_bits: u32,
+    seed: u64,
+) -> Result<Emitted, AsmError> {
     let sbox_entries = 1u64 << sbox_bits;
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // plaintext blocks
@@ -70,18 +76,18 @@ pub(crate) fn feistel(blocks: u64, rounds: u64, sbox_bits: u32, seed: u64) -> Re
     a.blt(T0, S3, b_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_random(vm.mem_mut(), DATA_BASE, blocks * 8);
-    g.fill_u32_below(vm.mem_mut(), DATA2_BASE, sbox_entries * 4, 1 << 32);
-    g.fill_u32_below(vm.mem_mut(), DATA3_BASE, rounds, 1 << 32);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_random(mem, DATA_BASE, blocks * 8);
+        g.fill_u32_below(mem, DATA2_BASE, sbox_entries * 4, 1 << 32);
+        g.fill_u32_below(mem, DATA3_BASE, rounds, 1 << 32);
+    }))
 }
 
 /// A SHA-1-style compression loop: 64-byte chunks, 80 expand+mix rounds of
 /// rotates, adds and boolean functions. Models MiBench sha and the hashing
 /// phase of pgp.
-pub(crate) fn sha(bytes: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn sha(bytes: u64, seed: u64) -> Result<Emitted, AsmError> {
     let chunks = (bytes / 64).max(1);
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // message
@@ -138,15 +144,15 @@ pub(crate) fn sha(bytes: u64, seed: u64) -> Result<Vm, AsmError> {
     a.blt(T0, S1, c_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_random(vm.mem_mut(), DATA_BASE, chunks * 64);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_random(mem, DATA_BASE, chunks * 64);
+    }))
 }
 
 /// Table-driven CRC32 over a byte stream (MiBench CRC32; also the checksum
 /// inner loop of CommBench tcp).
-pub(crate) fn crc32(bytes: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn crc32(bytes: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // data
     a.li(S1, DATA2_BASE as i64); // crc table (256 x u32)
@@ -172,24 +178,24 @@ pub(crate) fn crc32(bytes: u64, seed: u64) -> Result<Vm, AsmError> {
     a.st4(T1, T6, 0);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_repetitive(vm.mem_mut(), DATA_BASE, bytes, 64, 50);
-    // Standard CRC-32 table.
-    for i in 0..256u64 {
-        let mut c = i as u32;
-        for _ in 0..8 {
-            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_repetitive(mem, DATA_BASE, bytes, 64, 50);
+        // Standard CRC-32 table.
+        for i in 0..256u64 {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+            mem.write_le(DATA2_BASE + i * 4, 4, c as u64);
         }
-        vm.mem_mut().write_le(DATA2_BASE + i * 4, 4, c as u64);
-    }
-    Ok(vm)
+    }))
 }
 
 /// Multi-word modular exponentiation by repeated square-and-multiply over
 /// `words`-limb integers (schoolbook multiply + reduction by subtraction
 /// stand-in). Models pgp's RSA and gap's bignum arithmetic.
-pub(crate) fn modexp(words: u64, exp_bits: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn modexp(words: u64, exp_bits: u64, seed: u64) -> Result<Emitted, AsmError> {
     let words = words.max(2);
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // base (words limbs)
@@ -275,24 +281,29 @@ pub(crate) fn modexp(words: u64, exp_bits: u64, seed: u64) -> Result<Vm, AsmErro
     a.blt(S6, S4, bit_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_u64_below(vm.mem_mut(), DATA_BASE, words, u64::MAX);
-    // acc starts at 1.
-    vm.mem_mut().write_le(DATA_BASE + words * 8, 8, 1);
-    for i in 1..words {
-        vm.mem_mut().write_le(DATA_BASE + (words + i) * 8, 8, 0);
-    }
-    for i in 0..exp_bits {
-        vm.mem_mut().write_u8(DATA2_BASE + i, (g.next_u64() & 1) as u8);
-    }
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_u64_below(mem, DATA_BASE, words, u64::MAX);
+        // acc starts at 1.
+        mem.write_le(DATA_BASE + words * 8, 8, 1);
+        for i in 1..words {
+            mem.write_le(DATA_BASE + (words + i) * 8, 8, 0);
+        }
+        for i in 0..exp_bits {
+            mem.write_u8(DATA2_BASE + i, (g.next_u64() & 1) as u8);
+        }
+    }))
 }
 
 /// Reed-Solomon-style encoding over GF(256): per input block, multiply the
 /// message through a generator using log/antilog tables (CommBench reed).
 /// `nsym` is the number of parity symbols.
-pub(crate) fn reed_solomon(blocks: u64, msg_len: u64, nsym: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn reed_solomon(
+    blocks: u64,
+    msg_len: u64,
+    nsym: u64,
+    seed: u64,
+) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // message blocks
     a.li(S1, DATA2_BASE as i64); // log table (256 B), antilog at +256
@@ -363,30 +374,30 @@ pub(crate) fn reed_solomon(blocks: u64, msg_len: u64, nsym: u64, seed: u64) -> R
     a.blt(T0, S3, b_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_random(vm.mem_mut(), DATA_BASE, blocks * msg_len);
-    // GF(256) log/antilog tables for the 0x11d polynomial.
-    let mut log = [0u8; 256];
-    let mut alog = [0u8; 256];
-    let mut x: u32 = 1;
-    for (i, al) in alog.iter_mut().enumerate().take(255) {
-        *al = x as u8;
-        log[x as usize] = i as u8;
-        x <<= 1;
-        if x & 0x100 != 0 {
-            x ^= 0x11d;
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_random(mem, DATA_BASE, blocks * msg_len);
+        // GF(256) log/antilog tables for the 0x11d polynomial.
+        let mut log = [0u8; 256];
+        let mut alog = [0u8; 256];
+        let mut x: u32 = 1;
+        for (i, al) in alog.iter_mut().enumerate().take(255) {
+            *al = x as u8;
+            log[x as usize] = i as u8;
+            x <<= 1;
+            if x & 0x100 != 0 {
+                x ^= 0x11d;
+            }
         }
-    }
-    for i in 0..256u64 {
-        vm.mem_mut().write_u8(DATA2_BASE + i, log[i as usize]);
-        vm.mem_mut().write_u8(DATA2_BASE + 256 + i, alog[(i % 255) as usize]);
-    }
-    // Generator coefficients (arbitrary nonzero bytes).
-    for j in 0..nsym {
-        vm.mem_mut().write_u8(DATA3_BASE + 4096 + j, (7 + j * 13 % 250) as u8 | 1);
-    }
-    Ok(vm)
+        for i in 0..256u64 {
+            mem.write_u8(DATA2_BASE + i, log[i as usize]);
+            mem.write_u8(DATA2_BASE + 256 + i, alog[(i % 255) as usize]);
+        }
+        // Generator coefficients (arbitrary nonzero bytes).
+        for j in 0..nsym {
+            mem.write_u8(DATA3_BASE + 4096 + j, (7 + j * 13 % 250) as u8 | 1);
+        }
+    }))
 }
 
 #[cfg(test)]

@@ -3,13 +3,14 @@
 
 use crate::data::{write_twiddles, DataGen};
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE};
-use tinyisa::{regs::*, Asm, AsmError, Vm};
+use super::Emitted;
+use tinyisa::{regs::*, Asm, AsmError};
 
 /// Iterative radix-2 complex FFT over `1 << log2n` points
 /// (decimation-in-frequency: butterfly stages with a precomputed twiddle
 /// table, then the bit-reversal permutation).
 /// Models MiBench FFT/fftinv, SPEC lucas' transform phase, facerec.
-pub(crate) fn fft(log2n: u32, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn fft(log2n: u32, seed: u64) -> Result<Emitted, AsmError> {
     let n = 1u64 << log2n;
     let mut a = Asm::new();
     // S0 data, S1 twiddles, S2 n, S3 log2n, S4 m, S5 half, S6 tstep.
@@ -98,17 +99,17 @@ pub(crate) fn fft(log2n: u32, seed: u64) -> Result<Vm, AsmError> {
 
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_f64(vm.mem_mut(), DATA_BASE, 2 * n);
-    write_twiddles(vm.mem_mut(), DATA2_BASE, n);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_f64(mem, DATA_BASE, 2 * n);
+        write_twiddles(mem, DATA2_BASE, n);
+    }))
 }
 
 /// FIR filter: `y[i] = sum_t h[t] * x[i - t]` over `samples` doubles with
 /// `taps` coefficients. Models MiBench mad's synthesis filter, rsynth's
 /// formant filters, and lame's filterbank.
-pub(crate) fn fir(taps: u64, samples: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn fir(taps: u64, samples: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // x
     a.li(S1, DATA2_BASE as i64); // h
@@ -141,11 +142,11 @@ pub(crate) fn fir(taps: u64, samples: u64, seed: u64) -> Result<Vm, AsmError> {
     a.blt(T0, S3, i_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_f64(vm.mem_mut(), DATA_BASE, samples);
-    g.fill_f64(vm.mem_mut(), DATA2_BASE, taps);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_f64(mem, DATA_BASE, samples);
+        g.fill_f64(mem, DATA2_BASE, taps);
+    }))
 }
 
 /// IMA-style ADPCM coding over 16-bit samples: per-sample quantization with
@@ -153,7 +154,7 @@ pub(crate) fn fir(taps: u64, samples: u64, seed: u64) -> Result<Vm, AsmError> {
 /// Models MiBench adpcm and MediaBench g721. `decode` flips the
 /// reconstruct-vs-quantize ordering (same tables, slightly different branch
 /// mix, like rawcaudio vs rawdaudio).
-pub(crate) fn adpcm(samples: u64, decode: bool, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn adpcm(samples: u64, decode: bool, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // input samples (i16)
     a.li(S1, DATA2_BASE as i64); // step table (89 x i64)
@@ -274,22 +275,22 @@ pub(crate) fn adpcm(samples: u64, decode: bool, seed: u64) -> Result<Vm, AsmErro
     a.blt(T0, S3, i_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_audio(vm.mem_mut(), DATA_BASE, samples);
-    // IMA step table (89 entries).
-    let mut step = 7f64;
-    for i in 0..89u64 {
-        vm.mem_mut().write_le(DATA2_BASE + i * 8, 8, step as u64);
-        step *= 1.1;
-    }
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_audio(mem, DATA_BASE, samples);
+        // IMA step table (89 entries).
+        let mut step = 7f64;
+        for i in 0..89u64 {
+            mem.write_le(DATA2_BASE + i * 8, 8, step as u64);
+            step *= 1.1;
+        }
+    }))
 }
 
 /// 8x8 block DCT with quantization over a grayscale image: the compute core
 /// of JPEG/MPEG-style codecs (CommBench jpeg, MiBench jpeg, MediaBench
 /// mpeg2/epic pipelines). `quality` scales the quantizer.
-pub(crate) fn dct8x8(blocks: u64, quality: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn dct8x8(blocks: u64, quality: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // input bytes
     a.li(S1, DATA2_BASE as i64); // 8x8 DCT coefficient table (f64)
@@ -386,23 +387,28 @@ pub(crate) fn dct8x8(blocks: u64, quality: u64, seed: u64) -> Result<Vm, AsmErro
     a.blt(S4, S3, b_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_image(vm.mem_mut(), DATA_BASE, 64, blocks.max(1));
-    // DCT-II coefficient table c[u][y].
-    for u in 0..8u64 {
-        for y in 0..8u64 {
-            let c = if u == 0 { (1.0f64 / 8.0).sqrt() } else { 0.5 }
-                * ((2.0 * y as f64 + 1.0) * u as f64 * std::f64::consts::PI / 16.0).cos();
-            vm.mem_mut().write_f64(DATA2_BASE + (u * 8 + y) * 8, c);
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_image(mem, DATA_BASE, 64, blocks.max(1));
+        // DCT-II coefficient table c[u][y].
+        for u in 0..8u64 {
+            for y in 0..8u64 {
+                let c = if u == 0 { (1.0f64 / 8.0).sqrt() } else { 0.5 }
+                    * ((2.0 * y as f64 + 1.0) * u as f64 * std::f64::consts::PI / 16.0).cos();
+                mem.write_f64(DATA2_BASE + (u * 8 + y) * 8, c);
+            }
         }
-    }
-    Ok(vm)
+    }))
 }
 
 /// One-dimensional Haar-style lifting wavelet over an integer signal,
 /// `levels` octaves, optionally inverse. Models MediaBench epic/unepic.
-pub(crate) fn wavelet(len: u64, levels: u64, inverse: bool, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn wavelet(
+    len: u64,
+    levels: u64,
+    inverse: bool,
+    seed: u64,
+) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // signal (i64)
     if !inverse {
@@ -449,15 +455,15 @@ pub(crate) fn wavelet(len: u64, levels: u64, inverse: bool, seed: u64) -> Result
     a.bind(lvl_end);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_u64_below(vm.mem_mut(), DATA_BASE, len, 4096);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_u64_below(mem, DATA_BASE, len, 4096);
+    }))
 }
 
 /// Scalar math loops: Newton square roots, cubic polynomial evaluation and
 /// integer GCDs — MiBench basicmath.
-pub(crate) fn basicmath(values: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn basicmath(values: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // f64 inputs
     a.li(S1, DATA2_BASE as i64); // u64 pairs for gcd
@@ -507,11 +513,11 @@ pub(crate) fn basicmath(values: u64, seed: u64) -> Result<Vm, AsmError> {
     a.blt(T0, S2, i_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_f64(vm.mem_mut(), DATA_BASE, values);
-    g.fill_u64_below(vm.mem_mut(), DATA2_BASE, values * 2, 1 << 30);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_f64(mem, DATA_BASE, values);
+        g.fill_u64_below(mem, DATA2_BASE, values * 2, 1 << 30);
+    }))
 }
 
 #[cfg(test)]
@@ -520,24 +526,24 @@ mod tests {
 
     #[test]
     fn fft_runs_and_is_fp_heavy() {
-        let vm = super::fft(8, 1).unwrap();
-        let mix = mix_of(vm, 60_000);
+        let kernel = super::fft(8, 1).unwrap();
+        let mix = mix_of(kernel, 60_000);
         assert!(mix.fp > 0.15, "fp fraction {}", mix.fp);
         assert!(mix.loads > 0.1);
     }
 
     #[test]
     fn fir_runs_with_unit_stride_loads() {
-        let vm = super::fir(32, 2048, 2).unwrap();
-        let mix = mix_of(vm, 50_000);
+        let kernel = super::fir(32, 2048, 2).unwrap();
+        let mix = mix_of(kernel, 50_000);
         assert!(mix.fp > 0.15);
         assert!(mix.loads > 0.15, "loads {}", mix.loads);
     }
 
     #[test]
     fn adpcm_is_branchy_integer_code() {
-        let vm = super::adpcm(4096, false, 3).unwrap();
-        let mix = mix_of(vm, 50_000);
+        let kernel = super::adpcm(4096, false, 3).unwrap();
+        let mix = mix_of(kernel, 50_000);
         assert!(mix.control > 0.15, "control {}", mix.control);
         assert!(mix.fp == 0.0);
     }
@@ -551,8 +557,8 @@ mod tests {
 
     #[test]
     fn dct_runs_and_mixes_fp_and_int() {
-        let vm = super::dct8x8(16, 8, 4).unwrap();
-        let mix = mix_of(vm, 80_000);
+        let kernel = super::dct8x8(16, 8, 4).unwrap();
+        let mix = mix_of(kernel, 80_000);
         assert!(mix.fp > 0.1, "fp {}", mix.fp);
     }
 
@@ -564,8 +570,8 @@ mod tests {
 
     #[test]
     fn basicmath_has_divides() {
-        let vm = super::basicmath(512, 6).unwrap();
-        let mix = mix_of(vm, 40_000);
+        let kernel = super::basicmath(512, 6).unwrap();
+        let mix = mix_of(kernel, 40_000);
         assert!(mix.int_mul > 0.001, "rem/div present: {}", mix.int_mul);
         assert!(mix.fp > 0.2);
     }
@@ -582,7 +588,7 @@ mod tests {
 /// Windowed MDCT: for each output bin, a long dot product against a
 /// precomputed cosine basis over 50%-overlapped frames — the filterbank
 /// core of perceptual audio coders (MiBench lame).
-pub(crate) fn mdct(frames: u64, block: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn mdct(frames: u64, block: u64, seed: u64) -> Result<Emitted, AsmError> {
     let half = block / 2;
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // samples (f64)
@@ -627,17 +633,17 @@ pub(crate) fn mdct(frames: u64, block: u64, seed: u64) -> Result<Vm, AsmError> {
     a.blt(T0, S3, f_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_f64(vm.mem_mut(), DATA_BASE, (frames + 1) * half);
-    for k in 0..half {
-        for n in 0..block {
-            let c = ((std::f64::consts::PI / block as f64)
-                * (n as f64 + 0.5 + half as f64 / 2.0)
-                * (k as f64 + 0.5))
-                .cos();
-            vm.mem_mut().write_f64(DATA2_BASE + (k * block + n) * 8, c);
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_f64(mem, DATA_BASE, (frames + 1) * half);
+        for k in 0..half {
+            for n in 0..block {
+                let c = ((std::f64::consts::PI / block as f64)
+                    * (n as f64 + 0.5 + half as f64 / 2.0)
+                    * (k as f64 + 0.5))
+                    .cos();
+                mem.write_f64(DATA2_BASE + (k * block + n) * 8, c);
+            }
         }
-    }
-    Ok(vm)
+    }))
 }

@@ -3,12 +3,13 @@
 
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE};
-use tinyisa::{regs::*, Asm, AsmError, Vm};
+use super::Emitted;
+use tinyisa::{regs::*, Asm, AsmError};
 
 /// Dijkstra over a dense adjacency matrix without a heap (the MiBench
 /// dijkstra implementation): repeated linear scans for the minimum-distance
 /// unvisited node, then relaxation of its row.
-pub(crate) fn dijkstra(nodes: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn dijkstra(nodes: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // adjacency (u32 weights, nodes x nodes)
     a.li(S1, DATA2_BASE as i64); // dist (u32)
@@ -80,15 +81,20 @@ pub(crate) fn dijkstra(nodes: u64, seed: u64) -> Result<Vm, AsmError> {
     a.blt(S4, T9, round_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_u32_below(vm.mem_mut(), DATA_BASE, nodes * nodes, 1000);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_u32_below(mem, DATA_BASE, nodes * nodes, 1000);
+    }))
 }
 
 /// Patricia/radix-trie lookups (MiBench patricia, CommBench rtr route
 /// lookup): walk a binary trie keyed by address bits for each query.
-pub(crate) fn trie_lookup(keys: u64, queries: u64, depth: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn trie_lookup(
+    keys: u64,
+    queries: u64,
+    depth: u64,
+    seed: u64,
+) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // trie nodes: 24 bytes = left, right, value
     a.li(S1, DATA2_BASE as i64); // query keys (u32)
@@ -128,36 +134,35 @@ pub(crate) fn trie_lookup(keys: u64, queries: u64, depth: u64, seed: u64) -> Res
     a.st8(S6, S2, 0);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    // Host-side trie construction over random keys.
-    let node_bytes = 24u64;
-    let mut next_free = 1u64; // node 0 is the root
-    let mem = vm.mem_mut();
-    for _ in 0..keys {
-        let key = g.below(1 << 31);
-        let mut node = 0u64;
-        for bit in 0..depth {
-            let side = (key >> bit) & 1;
-            let slot = DATA_BASE + node * node_bytes + side * 8;
-            let mut child = mem.read_le(slot, 8);
-            if child == 0 {
-                child = DATA_BASE + next_free * node_bytes;
-                next_free += 1;
-                mem.write_le(slot, 8, child);
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        // Host-side trie construction over random keys.
+        let node_bytes = 24u64;
+        let mut next_free = 1u64; // node 0 is the root
+        for _ in 0..keys {
+            let key = g.below(1 << 31);
+            let mut node = 0u64;
+            for bit in 0..depth {
+                let side = (key >> bit) & 1;
+                let slot = DATA_BASE + node * node_bytes + side * 8;
+                let mut child = mem.read_le(slot, 8);
+                if child == 0 {
+                    child = DATA_BASE + next_free * node_bytes;
+                    next_free += 1;
+                    mem.write_le(slot, 8, child);
+                }
+                node = (child - DATA_BASE) / node_bytes;
             }
-            node = (child - DATA_BASE) / node_bytes;
+            mem.write_le(DATA_BASE + node * node_bytes + 16, 8, key);
         }
-        mem.write_le(DATA_BASE + node * node_bytes + 16, 8, key);
-    }
-    g.fill_u32_below(mem, DATA2_BASE, queries, 1 << 31);
-    Ok(vm)
+        g.fill_u32_below(mem, DATA2_BASE, queries, 1 << 31);
+    }))
 }
 
 /// mcf-class pointer chasing with arithmetic: walk a randomly permuted ring
 /// of fat nodes, relaxing a per-node potential against its neighbor —
 /// dependent loads over a working set far larger than any cache.
-pub(crate) fn pointer_chase(nodes: u64, node_bytes: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn pointer_chase(nodes: u64, node_bytes: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S1, nodes as i64);
     let outer = a.label();
@@ -181,23 +186,28 @@ pub(crate) fn pointer_chase(nodes: u64, node_bytes: u64, seed: u64) -> Result<Vm
     a.blt(T1, S1, chase);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    let head = g.build_random_ring(vm.mem_mut(), DATA3_BASE, nodes, node_bytes);
-    // Potentials and costs.
-    for n in 0..nodes {
-        let base = DATA3_BASE + n * node_bytes;
-        vm.mem_mut().write_le(base + 8, 8, g.below(1000));
-        vm.mem_mut().write_le(base + 16, 8, g.below(50));
-    }
-    vm.mem_mut().write_le(DATA2_BASE, 8, head);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        let head = g.build_random_ring(mem, DATA3_BASE, nodes, node_bytes);
+        // Potentials and costs.
+        for n in 0..nodes {
+            let base = DATA3_BASE + n * node_bytes;
+            mem.write_le(base + 8, 8, g.below(1000));
+            mem.write_le(base + 16, 8, g.below(50));
+        }
+        mem.write_le(DATA2_BASE, 8, head);
+    }))
 }
 
 /// Hash-dictionary probing (ispell, vortex's OO-database lookups, the
 /// symbol tables of gcc/perlbmk): open-addressed probes with string-ish
 /// key compares; `hit_rate` is the per-mille fraction of present keys.
-pub(crate) fn hash_dict(entries: u64, queries: u64, hit_rate: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn hash_dict(
+    entries: u64,
+    queries: u64,
+    hit_rate: u64,
+    seed: u64,
+) -> Result<Emitted, AsmError> {
     let buckets = (entries * 2).next_power_of_two();
     let slot_bytes = 16u64; // key u64 + value u64 (0 = empty)
     let mut a = Asm::new();
@@ -238,34 +248,33 @@ pub(crate) fn hash_dict(entries: u64, queries: u64, hit_rate: u64, seed: u64) ->
     a.st8(S6, T8, 0);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    // Insert `entries` keys host-side with the same probe function.
-    let mut keys = Vec::with_capacity(entries as usize);
-    let mem = vm.mem_mut();
-    for _ in 0..entries {
-        let key = g.next_u64() | 1; // nonzero
-        keys.push(key);
-        let mut b = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 13) & (buckets - 1);
-        loop {
-            let addr = DATA_BASE + b * slot_bytes;
-            if mem.read_le(addr, 8) == 0 {
-                mem.write_le(addr, 8, key);
-                mem.write_le(addr + 8, 8, key & 0xffff);
-                break;
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        // Insert `entries` keys host-side with the same probe function.
+        let mut keys = Vec::with_capacity(entries as usize);
+        for _ in 0..entries {
+            let key = g.next_u64() | 1; // nonzero
+            keys.push(key);
+            let mut b = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 13) & (buckets - 1);
+            loop {
+                let addr = DATA_BASE + b * slot_bytes;
+                if mem.read_le(addr, 8) == 0 {
+                    mem.write_le(addr, 8, key);
+                    mem.write_le(addr + 8, 8, key & 0xffff);
+                    break;
+                }
+                b = (b + 1) & (buckets - 1);
             }
-            b = (b + 1) & (buckets - 1);
         }
-    }
-    for q in 0..queries {
-        let key = if g.below(1000) < hit_rate {
-            keys[g.below(entries) as usize]
-        } else {
-            g.next_u64() | 1
-        };
-        mem.write_le(DATA2_BASE + q * 8, 8, key);
-    }
-    Ok(vm)
+        for q in 0..queries {
+            let key = if g.below(1000) < hit_rate {
+                keys[g.below(entries) as usize]
+            } else {
+                g.next_u64() | 1
+            };
+            mem.write_le(DATA2_BASE + q * 8, 8, key);
+        }
+    }))
 }
 
 #[cfg(test)]
@@ -317,7 +326,7 @@ pub(crate) fn str_search(
     pat_len: u64,
     alphabet: u8,
     seed: u64,
-) -> Result<Vm, AsmError> {
+) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // text
     a.li(S1, DATA2_BASE as i64); // patterns (pat_len bytes each)
@@ -373,30 +382,30 @@ pub(crate) fn str_search(
     a.blt(T9, S4, p_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_alphabet(vm.mem_mut(), DATA_BASE, text_bytes, alphabet);
-    for p in 0..patterns {
-        let pat_base = DATA2_BASE + p * pat_len;
-        // Half the patterns are sampled from the text (guaranteed hits).
-        if p % 2 == 0 {
-            let pos = g.below(text_bytes - pat_len);
-            for k in 0..pat_len {
-                let b = vm.mem().read_u8(DATA_BASE + pos + k);
-                vm.mem_mut().write_u8(pat_base + k, b);
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_alphabet(mem, DATA_BASE, text_bytes, alphabet);
+        for p in 0..patterns {
+            let pat_base = DATA2_BASE + p * pat_len;
+            // Half the patterns are sampled from the text (guaranteed hits).
+            if p % 2 == 0 {
+                let pos = g.below(text_bytes - pat_len);
+                for k in 0..pat_len {
+                    let b = mem.read_u8(DATA_BASE + pos + k);
+                    mem.write_u8(pat_base + k, b);
+                }
+            } else {
+                g.fill_alphabet(mem, pat_base, pat_len, alphabet);
             }
-        } else {
-            g.fill_alphabet(vm.mem_mut(), pat_base, pat_len, alphabet);
+            // Horspool skip table.
+            let table = DATA2_BASE + patterns * pat_len + p * 256;
+            for c in 0..256u64 {
+                mem.write_u8(table + c, pat_len as u8);
+            }
+            for k in 0..pat_len - 1 {
+                let b = mem.read_u8(pat_base + k);
+                mem.write_u8(table + b as u64, (pat_len - 1 - k) as u8);
+            }
         }
-        // Horspool skip table.
-        let table = DATA2_BASE + patterns * pat_len + p * 256;
-        for c in 0..256u64 {
-            vm.mem_mut().write_u8(table + c, pat_len as u8);
-        }
-        for k in 0..pat_len - 1 {
-            let b = vm.mem().read_u8(pat_base + k);
-            vm.mem_mut().write_u8(table + b as u64, (pat_len - 1 - k) as u8);
-        }
-    }
-    Ok(vm)
+    }))
 }

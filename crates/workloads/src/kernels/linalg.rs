@@ -4,11 +4,12 @@
 
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE};
-use tinyisa::{regs::*, Asm, AsmError, Vm};
+use super::Emitted;
+use tinyisa::{regs::*, Asm, AsmError};
 
 /// Dense double-precision matrix multiply `C = A * B` (n x n). The core of
 /// the csu subspace projections, facerec, galgel and wupwise stand-ins.
-pub(crate) fn gemm(n: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn gemm(n: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // A
     a.li(S1, (DATA_BASE + n * n * 8) as i64); // B
@@ -50,16 +51,16 @@ pub(crate) fn gemm(n: u64, seed: u64) -> Result<Vm, AsmError> {
     a.blt(T0, S3, i_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_f64(vm.mem_mut(), DATA_BASE, 2 * n * n);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_f64(mem, DATA_BASE, 2 * n * n);
+    }))
 }
 
 /// Covariance-matrix accumulation over `samples` vectors of `dims` doubles:
 /// `C[i][j] += x[i] * x[j]` — the training passes of csu Bayesian/subspace
 /// and the GMM evaluation of speak.
-pub(crate) fn covariance(dims: u64, samples: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn covariance(dims: u64, samples: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // sample matrix
     a.li(S1, DATA2_BASE as i64); // covariance accumulator
@@ -99,15 +100,15 @@ pub(crate) fn covariance(dims: u64, samples: u64, seed: u64) -> Result<Vm, AsmEr
     a.blt(T0, S3, s_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_f64(vm.mem_mut(), DATA_BASE, dims * samples);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_f64(mem, DATA_BASE, dims * samples);
+    }))
 }
 
 /// Five-point Jacobi stencil over a `w x h` double grid, `iters` sweeps per
 /// pass: applu/mgrid/swim/apsi-class structured-grid code.
-pub(crate) fn stencil(w: u64, h: u64, iters: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn stencil(w: u64, h: u64, iters: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // grid in
     a.li(S1, (DATA_BASE + w * h * 8) as i64); // grid out
@@ -158,15 +159,15 @@ pub(crate) fn stencil(w: u64, h: u64, iters: u64, seed: u64) -> Result<Vm, AsmEr
     a.blt(T9, S4, it_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_f64(vm.mem_mut(), DATA_BASE, 2 * w * h);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_f64(mem, DATA_BASE, 2 * w * h);
+    }))
 }
 
 /// CSR sparse matrix-vector product `y = A x`: equake/ammp-class irregular
 /// gather traffic. `nnz_per_row` controls row density.
-pub(crate) fn spmv(rows: u64, nnz_per_row: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn spmv(rows: u64, nnz_per_row: u64, seed: u64) -> Result<Emitted, AsmError> {
     let nnz = rows * nnz_per_row;
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // values (f64 x nnz)
@@ -205,17 +206,17 @@ pub(crate) fn spmv(rows: u64, nnz_per_row: u64, seed: u64) -> Result<Vm, AsmErro
     a.blt(T0, S4, r_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_f64(vm.mem_mut(), DATA_BASE, nnz);
-    g.fill_u32_below(vm.mem_mut(), DATA_BASE + nnz * 8, nnz, rows);
-    g.fill_f64(vm.mem_mut(), DATA2_BASE, rows);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_f64(mem, DATA_BASE, nnz);
+        g.fill_u32_below(mem, DATA_BASE + nnz * 8, nnz, rows);
+        g.fill_f64(mem, DATA2_BASE, rows);
+    }))
 }
 
 /// art-class winner-take-all neural scan: repeatedly compute dot products
 /// of an input vector against every prototype row and track the maximum.
-pub(crate) fn nn_scan(neurons: u64, dims: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn nn_scan(neurons: u64, dims: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // weight matrix (neurons x dims)
     a.li(S1, DATA2_BASE as i64); // input vector
@@ -267,11 +268,11 @@ pub(crate) fn nn_scan(neurons: u64, dims: u64, seed: u64) -> Result<Vm, AsmError
     a.blt(T2, S3, adapt);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_f64(vm.mem_mut(), DATA_BASE, neurons * dims);
-    g.fill_f64(vm.mem_mut(), DATA2_BASE, dims);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_f64(mem, DATA_BASE, neurons * dims);
+        g.fill_f64(mem, DATA2_BASE, dims);
+    }))
 }
 
 #[cfg(test)]
@@ -324,7 +325,7 @@ mod tests {
 /// LU decomposition with partial pivoting over an `n x n` double matrix:
 /// dense FP inner loops plus data-dependent pivot-selection branches and
 /// row swaps (galgel-class dense solver behavior).
-pub(crate) fn lu_solve(n: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn lu_solve(n: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // matrix (overwritten in place)
     a.li(S3, n as i64);
@@ -436,12 +437,12 @@ pub(crate) fn lu_solve(n: u64, seed: u64) -> Result<Vm, AsmError> {
     a.blt(S4, T5, col_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_f64(vm.mem_mut(), DATA2_BASE, n * n);
-    // Make it diagonally dominant so elimination stays tame.
-    for i in 0..n {
-        vm.mem_mut().write_f64(DATA2_BASE + (i * n + i) * 8, 4.0 + g.unit_f64());
-    }
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_f64(mem, DATA2_BASE, n * n);
+        // Make it diagonally dominant so elimination stays tame.
+        for i in 0..n {
+            mem.write_f64(DATA2_BASE + (i * n + i) * 8, 4.0 + g.unit_f64());
+        }
+    }))
 }

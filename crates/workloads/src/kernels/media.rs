@@ -3,7 +3,8 @@
 
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE};
-use tinyisa::{regs::*, Asm, AsmError, Vm};
+use super::Emitted;
+use tinyisa::{regs::*, Asm, AsmError};
 
 /// Which image filter the `ImageFilter` kernel applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,7 +27,7 @@ pub enum FilterKind {
 /// mesa/ghostscript-class scanline rasterizer: per triangle, bounding box +
 /// three integer edge functions per pixel; covered pixels optionally sample
 /// a texture before the framebuffer store.
-pub(crate) fn raster(size: u64, tris: u64, textured: bool, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn raster(size: u64, tris: u64, textured: bool, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // vertex buffer: 6 x i32 per triangle
     a.li(S1, DATA2_BASE as i64); // framebuffer (size x size bytes)
@@ -112,27 +113,32 @@ pub(crate) fn raster(size: u64, tris: u64, textured: bool, seed: u64) -> Result<
     a.blt(S5, S3, t_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    for t in 0..tris {
-        // Counter-clockwise-ish triangles inside the viewport.
-        let base = DATA_BASE + t * 24;
-        let cx = g.below(size - 16) + 8;
-        let cy = g.below(size - 16) + 8;
-        let r = g.below(12) + 3;
-        let pts =
-            [(cx, cy.saturating_sub(r)), (cx.saturating_sub(r), cy + r), (cx + r, cy + r)];
-        for (i, (x, y)) in pts.iter().enumerate() {
-            vm.mem_mut().write_le(base + i as u64 * 8, 4, *x);
-            vm.mem_mut().write_le(base + i as u64 * 8 + 4, 4, *y);
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        for t in 0..tris {
+            // Counter-clockwise-ish triangles inside the viewport.
+            let base = DATA_BASE + t * 24;
+            let cx = g.below(size - 16) + 8;
+            let cy = g.below(size - 16) + 8;
+            let r = g.below(12) + 3;
+            let pts =
+                [(cx, cy.saturating_sub(r)), (cx.saturating_sub(r), cy + r), (cx + r, cy + r)];
+            for (i, (x, y)) in pts.iter().enumerate() {
+                mem.write_le(base + i as u64 * 8, 4, *x);
+                mem.write_le(base + i as u64 * 8 + 4, 4, *y);
+            }
         }
-    }
-    g.fill_image(vm.mem_mut(), DATA3_BASE, 256, 256);
-    Ok(vm)
+        g.fill_image(mem, DATA3_BASE, 256, 256);
+    }))
 }
 
 /// susan/tiff-class image filtering over a `w x h` grayscale image.
-pub(crate) fn image_filter(w: u64, h: u64, kind: FilterKind, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn image_filter(
+    w: u64,
+    h: u64,
+    kind: FilterKind,
+    seed: u64,
+) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // input image
     a.li(S1, DATA2_BASE as i64); // output image
@@ -294,21 +300,21 @@ pub(crate) fn image_filter(w: u64, h: u64, kind: FilterKind, seed: u64) -> Resul
     a.blt(T9, T6, y_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_image(vm.mem_mut(), DATA_BASE, w, h);
-    // Gamma table for Convert.
-    for i in 0..256u64 {
-        let v = (255.0 * (i as f64 / 255.0).powf(0.45)) as u8;
-        vm.mem_mut().write_u8(DATA3_BASE + i, v);
-    }
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_image(mem, DATA_BASE, w, h);
+        // Gamma table for Convert.
+        for i in 0..256u64 {
+            let v = (255.0 * (i as f64 / 255.0).powf(0.45)) as u8;
+            mem.write_u8(DATA3_BASE + i, v);
+        }
+    }))
 }
 
 /// mpeg2-encode-class block motion estimation: for each 8x8 block, compute
 /// the SAD against a +/- `range` search window in the reference frame and
 /// keep the minimum.
-pub(crate) fn motion_est(w: u64, h: u64, range: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn motion_est(w: u64, h: u64, range: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // current frame
     a.li(S1, DATA2_BASE as i64); // reference frame
@@ -389,11 +395,11 @@ pub(crate) fn motion_est(w: u64, h: u64, range: u64, seed: u64) -> Result<Vm, As
     a.blt(S7, S4, by_l);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_image(vm.mem_mut(), DATA_BASE, w, h);
-    g.fill_image(vm.mem_mut(), DATA2_BASE, w, h);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_image(mem, DATA_BASE, w, h);
+        g.fill_image(mem, DATA2_BASE, w, h);
+    }))
 }
 
 #[cfg(test)]

@@ -4,12 +4,13 @@
 
 use crate::data::DataGen;
 use crate::{DATA2_BASE, DATA3_BASE, DATA_BASE, STACK_TOP};
-use tinyisa::{regs::*, Asm, AsmError, Vm};
+use super::Emitted;
+use tinyisa::{regs::*, Asm, AsmError};
 
 /// perlbmk/gap-class bytecode interpreter: fetch a 4-byte instruction
 /// (op, dst, src1, src2) over 16 memory-resident virtual registers and
 /// dispatch through a compare chain — big I-footprint, hard branches.
-pub(crate) fn interp(program_len: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn interp(program_len: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // bytecode
     a.li(S1, DATA2_BASE as i64); // virtual registers (u64 x 16)
@@ -111,24 +112,24 @@ pub(crate) fn interp(program_len: u64, seed: u64) -> Result<Vm, AsmError> {
     a.blt(S4, S3, fetch);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    for i in 0..program_len {
-        let base = DATA_BASE + i * 4;
-        vm.mem_mut().write_u8(base, g.below(8) as u8);
-        vm.mem_mut().write_u8(base + 1, g.below(16) as u8);
-        vm.mem_mut().write_u8(base + 2, g.below(16) as u8);
-        vm.mem_mut().write_u8(base + 3, g.below(16) as u8);
-    }
-    for r in 0..16 {
-        vm.mem_mut().write_le(DATA2_BASE + r * 8, 8, g.next_u64());
-    }
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        for i in 0..program_len {
+            let base = DATA_BASE + i * 4;
+            mem.write_u8(base, g.below(8) as u8);
+            mem.write_u8(base + 1, g.below(16) as u8);
+            mem.write_u8(base + 2, g.below(16) as u8);
+            mem.write_u8(base + 3, g.below(16) as u8);
+        }
+        for r in 0..16 {
+            mem.write_le(DATA2_BASE + r * 8, 8, g.next_u64());
+        }
+    }))
 }
 
 /// crafty/bitcount-class bit manipulation: per word, extract set bits one at
 /// a time (`x & -x`), count bits with shift-mask reduction, rotate and mix.
-pub(crate) fn bitops(words: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn bitops(words: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // bitboards
     a.li(S1, words as i64);
@@ -177,15 +178,15 @@ pub(crate) fn bitops(words: u64, seed: u64) -> Result<Vm, AsmError> {
     a.blt(T0, S1, w_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_u64_below(vm.mem_mut(), DATA_BASE, words, u64::MAX);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_u64_below(mem, DATA_BASE, words, u64::MAX);
+    }))
 }
 
 /// Iterative quicksort over `elems` 16-byte records (u64 key + u64 payload),
 /// explicit segment stack — MiBench qsort.
-pub(crate) fn qsort(elems: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn qsort(elems: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // records
     a.li(S1, elems as i64);
@@ -286,16 +287,16 @@ pub(crate) fn qsort(elems: u64, seed: u64) -> Result<Vm, AsmError> {
     a.bind(done);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    g.fill_u64_below(vm.mem_mut(), DATA_BASE, elems * 2, u64::MAX);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        g.fill_u64_below(mem, DATA_BASE, elems * 2, u64::MAX);
+    }))
 }
 
 /// eon-class ray-sphere tracing: for each ray from a grid, test against all
 /// spheres (dot products, discriminant, sqrt on hit) through a real `call`ed
 /// intersection routine.
-pub(crate) fn raytrace(spheres: u64, rays: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn raytrace(spheres: u64, rays: u64, seed: u64) -> Result<Emitted, AsmError> {
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // spheres: cx, cy, cz, r (f64 x 4)
     a.li(S1, DATA2_BASE as i64); // ray dirs: dx, dy, dz (f64 x 3)
@@ -373,22 +374,22 @@ pub(crate) fn raytrace(spheres: u64, rays: u64, seed: u64) -> Result<Vm, AsmErro
     a.bind(isect_done);
     a.ret();
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    for s in 0..spheres {
-        let base = DATA_BASE + s * 32;
-        vm.mem_mut().write_f64(base, g.unit_f64() * 20.0 - 10.0);
-        vm.mem_mut().write_f64(base + 8, g.unit_f64() * 20.0 - 10.0);
-        vm.mem_mut().write_f64(base + 16, g.unit_f64() * 20.0 + 5.0);
-        vm.mem_mut().write_f64(base + 24, g.unit_f64() * 2.0 + 0.2);
-    }
-    for r in 0..rays {
-        let base = DATA2_BASE + r * 24;
-        vm.mem_mut().write_f64(base, g.unit_f64() - 0.5);
-        vm.mem_mut().write_f64(base + 8, g.unit_f64() - 0.5);
-        vm.mem_mut().write_f64(base + 16, 1.0);
-    }
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        for s in 0..spheres {
+            let base = DATA_BASE + s * 32;
+            mem.write_f64(base, g.unit_f64() * 20.0 - 10.0);
+            mem.write_f64(base + 8, g.unit_f64() * 20.0 - 10.0);
+            mem.write_f64(base + 16, g.unit_f64() * 20.0 + 5.0);
+            mem.write_f64(base + 24, g.unit_f64() * 2.0 + 0.2);
+        }
+        for r in 0..rays {
+            let base = DATA2_BASE + r * 24;
+            mem.write_f64(base, g.unit_f64() - 0.5);
+            mem.write_f64(base + 8, g.unit_f64() - 0.5);
+            mem.write_f64(base + 16, 1.0);
+        }
+    }))
 }
 
 /// Which packet-processing discipline the `QueueSched` kernel runs.
@@ -405,7 +406,7 @@ pub enum SchedKind {
 }
 
 /// CommBench-class packet processing over a synthetic packet trace.
-pub(crate) fn queue_sched(packets: u64, kind: SchedKind, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn queue_sched(packets: u64, kind: SchedKind, seed: u64) -> Result<Emitted, AsmError> {
     let pkt_bytes = 64u64; // descriptor: len u32, flow u32, payload 56 B
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // packet trace
@@ -504,23 +505,23 @@ pub(crate) fn queue_sched(packets: u64, kind: SchedKind, seed: u64) -> Result<Vm
     a.blt(T0, S3, p_loop);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    for p in 0..packets {
-        let base = DATA_BASE + p * pkt_bytes;
-        vm.mem_mut().write_le(base, 4, g.below(48) + 8);
-        // Zipf-ish flow popularity: low ids more common.
-        let flow = (g.below(32) * g.below(32)) & 1023;
-        vm.mem_mut().write_le(base + 4, 4, flow);
-        g.fill_random(vm.mem_mut(), base + 8, 56);
-    }
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        for p in 0..packets {
+            let base = DATA_BASE + p * pkt_bytes;
+            mem.write_le(base, 4, g.below(48) + 8);
+            // Zipf-ish flow popularity: low ids more common.
+            let flow = (g.below(32) * g.below(32)) & 1023;
+            mem.write_le(base + 4, 4, flow);
+            g.fill_random(mem, base + 8, 56);
+        }
+    }))
 }
 
 /// typeset-class greedy line breaking over a linked list of word records
 /// (width, next); accumulates line widths, justifies with div/rem, and
 /// walks pointer-linked records.
-pub(crate) fn text_layout(words: u64, line_width: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn text_layout(words: u64, line_width: u64, seed: u64) -> Result<Emitted, AsmError> {
     let node_bytes = 24u64; // next ptr, width, flags
     let mut a = Asm::new();
     a.li(S1, line_width as i64);
@@ -568,15 +569,15 @@ pub(crate) fn text_layout(words: u64, line_width: u64, seed: u64) -> Result<Vm, 
     a.bind(list_end);
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    let head = g.build_random_ring(vm.mem_mut(), DATA_BASE + 64, words, node_bytes);
-    for w in 0..words {
-        let base = DATA_BASE + 64 + w * node_bytes;
-        vm.mem_mut().write_le(base + 8, 8, g.below(12) + 2);
-    }
-    vm.mem_mut().write_le(DATA_BASE, 8, head);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        let head = g.build_random_ring(mem, DATA_BASE + 64, words, node_bytes);
+        for w in 0..words {
+            let base = DATA_BASE + 64 + w * node_bytes;
+            mem.write_le(base + 8, 8, g.below(12) + 2);
+        }
+        mem.write_le(DATA_BASE, 8, head);
+    }))
 }
 
 #[cfg(test)]
@@ -653,7 +654,12 @@ mod tests {
 /// placement array, evaluate a local cost delta against neighbor positions,
 /// accept or reject against a temperature threshold (xorshift RNG kept in
 /// registers). Data-dependent branches over a medium working set.
-pub(crate) fn annealing(cells: u64, sweeps: u64, temp: u64, seed: u64) -> Result<Vm, AsmError> {
+pub(crate) fn annealing(
+    cells: u64,
+    sweeps: u64,
+    temp: u64,
+    seed: u64,
+) -> Result<Emitted, AsmError> {
     let mask = cells.next_power_of_two() - 1;
     let mut a = Asm::new();
     a.li(S0, DATA_BASE as i64); // placement: cell id per slot (u32)
@@ -724,23 +730,27 @@ pub(crate) fn annealing(cells: u64, sweeps: u64, temp: u64, seed: u64) -> Result
     a.li(S5, temp as i64); // reheat for the next pass
     a.jmp(outer);
 
-    let mut vm = Vm::new(a.assemble()?);
-    let mut g = DataGen::new(seed);
-    for i in 0..cells {
-        vm.mem_mut().write_le(DATA_BASE + i * 4, 4, i);
-    }
-    g.fill_u32_below(vm.mem_mut(), DATA2_BASE, cells, mask + 1);
-    Ok(vm)
+    Ok(Emitted::new(a.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        for i in 0..cells {
+            mem.write_le(DATA_BASE + i * 4, 4, i);
+        }
+        g.fill_u32_below(mem, DATA2_BASE, cells, mask + 1);
+    }))
 }
 
 /// Variable-length (canonical Huffman) decoding: walk a binary code tree in
 /// memory bit by bit over a host-encoded stream — the entropy-decode side
 /// of mpeg2/jpeg-class codecs.
-pub(crate) fn huffman_decode(symbols: u64, stream_bytes: u64, seed: u64) -> Result<Vm, AsmError> {
-    // Host side: build a Huffman tree over a skewed symbol distribution,
-    // encode a random message, and lay the tree out in memory
+pub(crate) fn huffman_decode(
+    symbols: u64,
+    stream_bytes: u64,
+    seed: u64,
+) -> Result<Emitted, AsmError> {
+    // Host side: build a Huffman tree over a skewed symbol distribution
+    // (the program embeds its root index); the initializer encodes a random
+    // message and lays the tree out in memory
     // (node: left u32 index, right u32 index, symbol u32, is_leaf u32).
-    let mut g = DataGen::new(seed);
     let nsym = symbols.clamp(2, 256) as usize;
     // Zipf-ish frequencies.
     let freqs: Vec<u64> = (0..nsym).map(|i| 1_000_000 / (i as u64 + 1) + 1).collect();
@@ -780,29 +790,6 @@ pub(crate) fn huffman_decode(symbols: u64, stream_bytes: u64, seed: u64) -> Resu
         }
     }
     assign(&nodes, root, 0, 0, &mut codes);
-    // Encode a message until the bitstream fills `stream_bytes`.
-    let mut bits: Vec<u8> = Vec::new();
-    while bits.len() < (stream_bytes * 8) as usize {
-        // Sample a symbol proportional to frequency (approximately).
-        let mut pick = g.below(freqs.iter().sum::<u64>());
-        let mut sym = 0usize;
-        for (i, &f) in freqs.iter().enumerate() {
-            if pick < f {
-                sym = i;
-                break;
-            }
-            pick -= f;
-        }
-        let (code, len) = codes[sym];
-        for b in (0..len).rev() {
-            bits.push((code >> b & 1) as u8);
-        }
-    }
-    bits.truncate((stream_bytes * 8) as usize);
-    let mut packed = vec![0u8; stream_bytes as usize];
-    for (i, &b) in bits.iter().enumerate() {
-        packed[i / 8] |= b << (i % 8);
-    }
 
     let mut asm = Asm::new();
     asm.li(S0, DATA_BASE as i64); // tree nodes (16 B each)
@@ -853,14 +840,38 @@ pub(crate) fn huffman_decode(symbols: u64, stream_bytes: u64, seed: u64) -> Resu
     asm.blt(T0, S3, bit_loop);
     asm.jmp(outer);
 
-    let mut vm = Vm::new(asm.assemble()?);
-    for (i, n) in nodes.iter().enumerate() {
-        let base = DATA_BASE + i as u64 * 16;
-        vm.mem_mut().write_le(base, 4, n.left as u64);
-        vm.mem_mut().write_le(base + 4, 4, n.right as u64);
-        vm.mem_mut().write_le(base + 8, 4, n.symbol as u64);
-        vm.mem_mut().write_le(base + 12, 4, n.leaf as u64);
-    }
-    vm.mem_mut().write_bytes(DATA2_BASE, &packed);
-    Ok(vm)
+    Ok(Emitted::new(asm.assemble()?, move |mem| {
+        let mut g = DataGen::new(seed);
+        // Encode a message until the bitstream fills `stream_bytes`.
+        let mut bits: Vec<u8> = Vec::new();
+        while bits.len() < (stream_bytes * 8) as usize {
+            // Sample a symbol proportional to frequency (approximately).
+            let mut pick = g.below(freqs.iter().sum::<u64>());
+            let mut sym = 0usize;
+            for (i, &f) in freqs.iter().enumerate() {
+                if pick < f {
+                    sym = i;
+                    break;
+                }
+                pick -= f;
+            }
+            let (code, len) = codes[sym];
+            for b in (0..len).rev() {
+                bits.push((code >> b & 1) as u8);
+            }
+        }
+        bits.truncate((stream_bytes * 8) as usize);
+        let mut packed = vec![0u8; stream_bytes as usize];
+        for (i, &b) in bits.iter().enumerate() {
+            packed[i / 8] |= b << (i % 8);
+        }
+        for (i, n) in nodes.iter().enumerate() {
+            let base = DATA_BASE + i as u64 * 16;
+            mem.write_le(base, 4, n.left as u64);
+            mem.write_le(base + 4, 4, n.right as u64);
+            mem.write_le(base + 8, 4, n.symbol as u64);
+            mem.write_le(base + 12, 4, n.leaf as u64);
+        }
+        mem.write_bytes(DATA2_BASE, &packed);
+    }))
 }

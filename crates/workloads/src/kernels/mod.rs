@@ -13,13 +13,36 @@ mod misc;
 pub use media::FilterKind;
 pub use misc::SchedKind;
 
-use tinyisa::{AsmError, Vm};
+use tinyisa::{AsmError, Memory, Program, Vm};
 
-/// An algorithm kernel plus its parameters. [`Kernel::build_vm`] assembles
-/// the program and initializes its input data (deterministically from
-/// `seed`), producing a VM that runs the workload in an endless steady-state
-/// loop — execution length is controlled purely by the fuel passed to
-/// [`Vm::run`].
+/// A kernel builder's output: the assembled program plus the initializer
+/// that writes the kernel's input data into a fresh VM's memory. Builders
+/// emit the program first and defer all data generation the program does
+/// not depend on to `init`, so [`Kernel::program`] never pays for it.
+pub(crate) struct Emitted {
+    program: Program,
+    init: Box<dyn FnOnce(&mut Memory)>,
+}
+
+impl Emitted {
+    pub(crate) fn new(program: Program, init: impl FnOnce(&mut Memory) + 'static) -> Emitted {
+        Emitted { program, init: Box::new(init) }
+    }
+
+    /// Load the program into a fresh VM and run the data initializer.
+    fn into_vm(self) -> Vm {
+        let mut vm = Vm::new(self.program);
+        (self.init)(vm.mem_mut());
+        vm
+    }
+}
+
+/// An algorithm kernel plus its parameters. [`Kernel::program`] assembles
+/// the program alone; [`Kernel::build_vm`] also initializes its input data
+/// (deterministically from `seed`), producing a VM that runs the workload in
+/// an endless steady-state loop — execution length is controlled purely by
+/// the fuel passed to [`Vm::run`]. Both go through the same builder, so the
+/// program is the same either way.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kernel {
     /// Banded Smith-Waterman-style DP alignment.
@@ -109,14 +132,31 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// Assemble the kernel and initialize its data from `seed`.
+    /// Assemble the kernel's program for `seed` without generating its input
+    /// data. Only host-side work the program itself depends on runs: zip's
+    /// LZ tokenization (the program embeds the token count) and mpeg2's
+    /// Huffman tree (it embeds the root index).
     ///
     /// # Errors
     ///
     /// Returns [`AsmError`] if the generated program fails to assemble
     /// (which would be a bug in the kernel builder, but is surfaced rather
     /// than panicking).
+    pub fn program(&self, seed: u64) -> Result<Program, AsmError> {
+        Ok(self.emit(seed)?.program)
+    }
+
+    /// Assemble the kernel and initialize its data from `seed`: a fresh VM
+    /// loaded with [`Kernel::program`] plus the builder's data initializer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AsmError`] if the generated program fails to assemble.
     pub fn build_vm(&self, seed: u64) -> Result<Vm, AsmError> {
+        Ok(self.emit(seed)?.into_vm())
+    }
+
+    fn emit(&self, seed: u64) -> Result<Emitted, AsmError> {
         match *self {
             Kernel::DpAlign { m, band, alphabet } => bio::dp_align(m, band, alphabet, seed),
             Kernel::DbScan { db_bytes, word } => bio::db_scan(db_bytes, word, seed),
@@ -188,7 +228,8 @@ impl Kernel {
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    use tinyisa::{DynInst, InstClass, RunExit, TraceSink, Vm};
+    use super::Emitted;
+    use tinyisa::{DynInst, InstClass, RunExit, TraceSink};
 
     /// Instruction-class fractions observed while burning `fuel`.
     #[derive(Debug, Default, Clone, Copy)]
@@ -222,9 +263,11 @@ pub(crate) mod test_support {
         }
     }
 
-    /// Run `fuel` instructions, asserting the kernel loops forever (fuel
-    /// exhaustion, never a halt or crash), and return the class mix.
-    pub fn mix_of(mut vm: Vm, fuel: u64) -> MixCounts {
+    /// Build the kernel's VM, run `fuel` instructions, asserting the kernel
+    /// loops forever (fuel exhaustion, never a halt or crash), and return the
+    /// class mix.
+    pub fn mix_of(kernel: Emitted, fuel: u64) -> MixCounts {
+        let mut vm = kernel.into_vm();
         let mut c = Counter::default();
         let exit = vm.run(&mut c, fuel).expect("kernel must not fault");
         assert_eq!(exit, RunExit::FuelExhausted, "kernels run until out of fuel");
@@ -240,7 +283,7 @@ pub(crate) mod test_support {
     }
 
     /// Run and assert fuel exhaustion only.
-    pub fn run_fuel(vm: Vm, fuel: u64) {
-        let _ = mix_of(vm, fuel);
+    pub fn run_fuel(kernel: Emitted, fuel: u64) {
+        let _ = mix_of(kernel, fuel);
     }
 }

@@ -2,7 +2,7 @@
 //! mapped onto a parameterized [`Kernel`].
 
 use crate::kernels::{FilterKind, Kernel, SchedKind};
-use tinyisa::{AsmError, Vm};
+use tinyisa::{AsmError, Program, Vm};
 
 /// The six benchmark suites of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -86,6 +86,16 @@ impl BenchmarkSpec {
         (150_000.0 * (1.0 + l)) as u64
     }
 
+    /// Assemble the kernel's program without generating its data — the
+    /// program [`BenchmarkSpec::build_vm`] would load.
+    ///
+    /// # Errors
+    ///
+    /// Propagates assembly failures from [`Kernel::program`].
+    pub fn program(&self) -> Result<Program, AsmError> {
+        self.kernel.program(self.seed())
+    }
+
     /// Assemble the kernel and initialize its data, ready to run.
     ///
     /// # Errors
@@ -114,16 +124,25 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// swapping an input — changes the value, and so does any edit to a kernel
 /// builder that alters the emitted program, so profile caches keyed on it
 /// cannot silently survive a change to what actually runs.
+///
+/// The programs come from [`Kernel::program`], the same builders
+/// [`BenchmarkSpec::build_vm`] runs, minus the data generation: a call
+/// costs tens of milliseconds, not the hundreds a full build of all 122
+/// VMs would.
 pub fn table_fingerprint() -> u64 {
+    fingerprint(&benchmark_table())
+}
+
+fn fingerprint(specs: &[BenchmarkSpec]) -> u64 {
     let mut h = fnv1a(0xcbf2_9ce4_8422_2325, b"mica-table-v2");
-    for spec in benchmark_table() {
+    for spec in specs {
         h = fnv1a(h, spec.name().as_bytes());
         h = fnv1a(h, &spec.paper_icount_millions.to_le_bytes());
         h = fnv1a(h, &spec.seed().to_le_bytes());
         h = fnv1a(h, format!("{:?}", spec.kernel).as_bytes());
-        let vm = spec.build_vm().expect("table kernels must assemble");
-        h = fnv1a(h, &(vm.program().len() as u64).to_le_bytes());
-        h = fnv1a(h, format!("{:?}", vm.program().insts()).as_bytes());
+        let program = spec.program().expect("table kernels must assemble");
+        h = fnv1a(h, &(program.len() as u64).to_le_bytes());
+        h = fnv1a(h, format!("{:?}", program.insts()).as_bytes());
     }
     h
 }
@@ -331,20 +350,37 @@ mod tests {
 
     #[test]
     fn fingerprint_is_stable_and_sensitive_to_kernel_params() {
-        assert_eq!(table_fingerprint(), table_fingerprint());
-        assert_ne!(table_fingerprint(), 0);
-        // The fingerprint covers kernel parameters, not just names: two
-        // specs differing only in kernel parameterization hash apart.
-        let a = BenchmarkSpec {
-            suite: Suite::MiBench,
-            program: "sha",
-            input: "large",
-            paper_icount_millions: 114,
-            kernel: Kernel::Sha { bytes: 1 << 16 },
+        let table = benchmark_table();
+        let base = fingerprint(&table);
+        assert_eq!(table_fingerprint(), base);
+        assert_ne!(base, 0);
+        let sha = table.iter().position(|b| b.program == "sha").expect("sha is in the table");
+        // The fingerprint covers kernel parameters, not just names: the same
+        // table with one kernel re-parameterized hashes apart.
+        let mut params = table.clone();
+        params[sha].kernel = match params[sha].kernel {
+            Kernel::Sha { bytes } => Kernel::Sha { bytes: bytes * 2 },
+            other => panic!("sha runs {other:?}"),
         };
-        let mut b = a.clone();
-        b.kernel = Kernel::Sha { bytes: 1 << 17 };
-        assert_ne!(format!("{:?}", a.kernel), format!("{:?}", b.kernel));
+        assert_ne!(fingerprint(&params), base, "kernel parameters are not hashed");
+        // Renaming an input changes the name and the data seed derived from it.
+        let mut input = table.clone();
+        input[sha].input = "renamed";
+        assert_ne!(input[sha].seed(), table[sha].seed());
+        assert_ne!(fingerprint(&input), base, "input name / seed is not hashed");
+    }
+
+    #[test]
+    fn program_path_matches_the_built_vm() {
+        // `table_fingerprint` hashes `program()`; it must be exactly what
+        // `build_vm()` loads — above all for kernels whose program depends
+        // on host-side work (zip's LZ tokenization, mpeg2's Huffman tree).
+        for b in benchmark_table() {
+            let program = b.program().unwrap_or_else(|e| panic!("{} fails: {e}", b.name()));
+            let vm = b.build_vm().unwrap_or_else(|e| panic!("{} fails: {e}", b.name()));
+            assert_eq!(program.base(), vm.program().base(), "{}", b.name());
+            assert_eq!(program.insts(), vm.program().insts(), "{}", b.name());
+        }
     }
 
     #[test]
