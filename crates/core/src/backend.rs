@@ -1,63 +1,40 @@
-//! Runtime selection between trace-delivery backends.
+//! Delivery granularity for callers that time analyzers from outside.
 //!
-//! Every analyzer in this crate has two observably identical tiers: the
-//! **reference** tier — one [`TraceSink::retire`] call per retired
-//! instruction, the straightforward code the metrics were first written as
-//! — and the **batch** tier, where [`TraceSink::retire_block`] overrides
-//! process a whole instruction block at once (scratch buffers,
-//! dedup-before-hash, table-driven bucket updates). The tiers must agree
-//! bit-for-bit; `tests/backend_diff.rs` is the differential harness that
-//! enforces it, in the spirit of nanoBench/uops.info cross-checking
-//! measured characterizations against an independent implementation.
-//!
-//! The active tier is chosen at runtime with `MICA_BACKEND=ref|batch`
-//! (default `ref`). Because `tinyisa::Vm` always delivers blocks, the
-//! reference tier is selected by wrapping the sink in [`PerInst`], which
-//! unbundles each block into single `retire` calls.
+//! Every analyzer in this crate has one implementation: its
+//! [`TraceSink::retire_block`], with `retire` delivering a one-instruction
+//! block. [`Backend`] only says how a caller hands the stream over —
+//! whole blocks, or one instruction per call through [`PerInst`] — and
+//! both produce the same bits. The profiling pipeline always delivers
+//! blocks; the per-instruction oracle the analyzers are checked against
+//! lives in `tests/oracle`.
 
-use std::fmt;
 use tinyisa::{DynInst, TraceSink};
 
-/// Which analyzer delivery tier to run.
+/// How a caller delivers retired instructions to the analyzers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// The per-instruction reference path: analyzers see one
-    /// [`TraceSink::retire`] call per instruction and none of their batch
-    /// code runs.
-    #[default]
+    /// One [`TraceSink::retire`] call per instruction: the same code as
+    /// [`Backend::Batch`], fed one-instruction blocks.
     Ref,
-    /// Block delivery: analyzers receive [`TraceSink::retire_block`] calls
-    /// and run their batch-oriented implementations.
+    /// Whole [`TraceSink::retire_block`] calls, as the VM delivers them.
+    #[default]
     Batch,
 }
 
 impl Backend {
-    /// Both backends, reference tier first.
-    pub const ALL: [Backend; 2] = [Backend::Ref, Backend::Batch];
-
-    /// Parse a backend name as accepted by `MICA_BACKEND`.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "ref" | "reference" => Some(Backend::Ref),
-            "batch" => Some(Backend::Batch),
-            _ => None,
-        }
-    }
-
-    /// Read the backend from `MICA_BACKEND`; unset or empty means
-    /// [`Backend::Ref`].
+    /// Read the backend from `MICA_BACKEND` (`ref` or `batch`); unset or
+    /// empty means [`Backend::Batch`].
     ///
     /// # Panics
     ///
-    /// Panics on an unrecognized value — a typo silently falling back to
-    /// the reference tier would invalidate any measurement made under it.
+    /// Panics on an unrecognized value: a typo silently falling back to
+    /// the default would mislabel any measurement made under it.
     pub fn from_env() -> Backend {
-        match std::env::var("MICA_BACKEND") {
-            Err(_) => Backend::Ref,
-            Ok(v) if v.trim().is_empty() => Backend::Ref,
-            Ok(v) => Backend::parse(&v).unwrap_or_else(|| {
-                panic!("MICA_BACKEND={v:?} is not a backend (use \"ref\" or \"batch\")")
-            }),
+        let v = std::env::var("MICA_BACKEND").unwrap_or_default();
+        match v.trim().to_ascii_lowercase().as_str() {
+            "" | "batch" => Backend::Batch,
+            "ref" | "reference" => Backend::Ref,
+            _ => panic!("MICA_BACKEND={v:?} is not a backend (use \"ref\" or \"batch\")"),
         }
     }
 
@@ -70,32 +47,11 @@ impl Backend {
     }
 }
 
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Forces the wrapped sink onto the per-instruction reference path.
-///
-/// Incoming blocks are unbundled into single [`TraceSink::retire`] calls,
-/// so any `retire_block` override on `S` never runs. This is how
-/// [`Backend::Ref`] is implemented under a block-delivering
-/// [`tinyisa::Vm`].
+/// Unbundles every delivered block into single [`TraceSink::retire`] calls
+/// on the wrapped sink: how [`Backend::Ref`] is delivered under a
+/// block-delivering [`tinyisa::Vm`].
 #[derive(Debug, Clone, Default)]
 pub struct PerInst<S>(pub S);
-
-impl<S> PerInst<S> {
-    /// Wrap `sink`.
-    pub fn new(sink: S) -> Self {
-        PerInst(sink)
-    }
-
-    /// Unwrap into the inner sink.
-    pub fn into_inner(self) -> S {
-        self.0
-    }
-}
 
 impl<S: TraceSink> TraceSink for PerInst<S> {
     fn retire(&mut self, inst: &DynInst) {
@@ -115,34 +71,26 @@ mod tests {
     use tinyisa::InstClass;
 
     #[test]
-    fn parse_accepts_both_tiers_case_insensitively() {
-        assert_eq!(Backend::parse("ref"), Some(Backend::Ref));
-        assert_eq!(Backend::parse("reference"), Some(Backend::Ref));
-        assert_eq!(Backend::parse(" BATCH "), Some(Backend::Batch));
-        assert_eq!(Backend::parse("jit"), None);
-        assert_eq!(Backend::parse(""), None);
-    }
-
-    #[test]
-    fn names_round_trip_through_parse() {
-        for b in Backend::ALL {
-            assert_eq!(Backend::parse(b.name()), Some(b));
-        }
+    fn default_backend_is_batch() {
+        assert_eq!(Backend::default(), Backend::Batch);
+        assert_eq!(Backend::Batch.name(), "batch");
+        assert_eq!(Backend::Ref.name(), "ref");
     }
 
     #[test]
     fn per_inst_unbundles_blocks() {
-        /// A sink whose batch path must never run.
+        /// Counts calls: one-instruction `retire`s and block deliveries.
         #[derive(Default)]
-        struct RefOnly {
-            retired: u64,
+        struct Calls {
+            retires: u64,
+            blocks: u64,
         }
-        impl TraceSink for RefOnly {
+        impl TraceSink for Calls {
             fn retire(&mut self, _inst: &DynInst) {
-                self.retired += 1;
+                self.retires += 1;
             }
             fn retire_block(&mut self, _block: &[DynInst]) {
-                panic!("PerInst must suppress the batch path");
+                self.blocks += 1;
             }
         }
         let inst = DynInst {
@@ -153,9 +101,9 @@ mod tests {
             mem: None,
             ctrl: None,
         };
-        let mut sink = PerInst::new(RefOnly::default());
+        let mut sink = PerInst(Calls::default());
         sink.retire_block(&[inst; 5]);
         sink.retire(&inst);
-        assert_eq!(sink.into_inner().retired, 6);
+        assert_eq!((sink.0.retires, sink.0.blocks), (6, 0));
     }
 }

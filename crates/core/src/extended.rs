@@ -71,28 +71,12 @@ impl BranchBehavior {
 
 impl TraceSink for BranchBehavior {
     fn retire(&mut self, inst: &DynInst) {
-        self.instructions += 1;
-        if inst.class.is_control() {
-            self.control += 1;
-        }
-        if let Some(ctrl) = inst.ctrl {
-            if ctrl.conditional {
-                self.branches += 1;
-                if ctrl.taken {
-                    self.taken += 1;
-                }
-                if let Some(prev) = self.last_outcome.insert(inst.pc, ctrl.taken) {
-                    if prev != ctrl.taken {
-                        self.transitions += 1;
-                    }
-                }
-            }
-        }
+        self.retire_block(std::slice::from_ref(inst));
     }
 
     fn retire_block(&mut self, block: &[DynInst]) {
-        // Batch path: bulk-count instructions, tally control and branch
-        // statistics locally, and touch the per-branch map only for actual
+        // Bulk-count instructions, tally control and branch statistics
+        // locally, and touch the per-branch map only for actual
         // conditional branches.
         self.instructions += block.len() as u64;
         let mut control = 0u64;
@@ -197,9 +181,7 @@ impl ExtendedSuite {
 
 impl TraceSink for ExtendedSuite {
     fn retire(&mut self, inst: &DynInst) {
-        self.base.retire(inst);
-        self.branch.retire(inst);
-        self.reuse.retire(inst);
+        self.retire_block(std::slice::from_ref(inst));
     }
 
     fn retire_block(&mut self, block: &[DynInst]) {

@@ -107,9 +107,7 @@ impl IlpAnalyzer {
 
 impl TraceSink for IlpAnalyzer {
     fn retire(&mut self, inst: &DynInst) {
-        for m in &mut self.models {
-            m.observe(inst);
-        }
+        self.retire_block(std::slice::from_ref(inst));
     }
 
     fn retire_block(&mut self, block: &[DynInst]) {

@@ -51,15 +51,7 @@ impl InstructionMix {
 
 impl TraceSink for InstructionMix {
     fn retire(&mut self, inst: &DynInst) {
-        self.total += 1;
-        match inst.class {
-            InstClass::Load => self.loads += 1,
-            InstClass::Store => self.stores += 1,
-            InstClass::Branch | InstClass::Jump => self.control += 1,
-            InstClass::IntAlu => self.arith += 1,
-            InstClass::IntMul => self.int_mul += 1,
-            InstClass::Fp => self.fp += 1,
-        }
+        self.retire_block(std::slice::from_ref(inst));
     }
 
     fn retire_block(&mut self, block: &[DynInst]) {

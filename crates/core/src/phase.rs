@@ -95,19 +95,13 @@ impl PhaseProfiler {
 
 impl TraceSink for PhaseProfiler {
     fn retire(&mut self, inst: &DynInst) {
-        self.current.retire(inst);
-        self.in_interval += 1;
-        if self.in_interval == self.interval {
-            let done = std::mem::take(&mut self.current);
-            self.phases.push(done.finish());
-            self.in_interval = 0;
-        }
+        self.retire_block(std::slice::from_ref(inst));
     }
 
     fn retire_block(&mut self, block: &[DynInst]) {
         // Split the block at interval boundaries so each sub-slice lands
-        // entirely inside one interval — intervals close at exactly the
-        // same instruction as on the per-instruction path.
+        // entirely inside one interval: intervals close at exactly the
+        // same instruction whatever the delivery partition.
         let mut rest = block;
         while !rest.is_empty() {
             let room = self.interval - self.in_interval;

@@ -172,8 +172,8 @@ impl PpmPredictor {
         correct
     }
 
-    /// Feed a run of conditional-branch outcomes, in order — the batch
-    /// path's entry point. [`CharacterizationSuite`](crate::CharacterizationSuite)
+    /// Feed a run of conditional-branch outcomes, in order.
+    /// [`CharacterizationSuite`](crate::CharacterizationSuite)
     /// extracts the branches of a block once and feeds all four predictors
     /// from the same scratch buffer.
     pub fn observe_block(&mut self, outcomes: &[(u64, bool)]) {
@@ -185,16 +185,10 @@ impl PpmPredictor {
 
 impl TraceSink for PpmPredictor {
     fn retire(&mut self, inst: &DynInst) {
-        if let Some(ctrl) = inst.ctrl {
-            if ctrl.conditional {
-                self.observe(inst.pc, ctrl.taken);
-            }
-        }
+        self.retire_block(std::slice::from_ref(inst));
     }
 
     fn retire_block(&mut self, block: &[DynInst]) {
-        // Conditional branches are sparse in most blocks; skim them out
-        // without the per-instruction virtual hop.
         for inst in block {
             if let Some(ctrl) = inst.ctrl {
                 if ctrl.conditional {

@@ -6,7 +6,6 @@ use tinyisa::{DynInst, TraceSink};
 /// distribution is cumulative: `P[distance <= k]`.
 pub const DEP_DIST_BUCKETS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-
 /// Measures register traffic (Franklin & Sohi style):
 ///
 /// - **average number of input operands** per instruction (metric 11),
@@ -106,37 +105,15 @@ const BUCKET_OF: [u8; 65] = {
 
 impl TraceSink for RegTraffic {
     fn retire(&mut self, inst: &DynInst) {
-        self.index += 1;
-        for s in inst.sources() {
-            self.operand_count += 1;
-            let prod = self.producer[s.unified()];
-            if prod != u64::MAX {
-                // A read of a live register instance: counts for degree of
-                // use (metric 12) and the dependency-distance distribution.
-                self.reg_reads += 1;
-                // Distance in dynamic instructions between producer and
-                // consumer; adjacent instructions have distance 1.
-                let dist = self.index - 1 - prod;
-                self.dist_total += 1;
-                for (b, &threshold) in self.dist_buckets.iter_mut().zip(&DEP_DIST_BUCKETS) {
-                    if dist <= threshold {
-                        *b += 1;
-                    }
-                }
-            }
-        }
-        if let Some(d) = inst.dst {
-            self.reg_writes += 1;
-            self.producer[d.unified()] = self.index - 1;
-        }
+        self.retire_block(std::slice::from_ref(inst));
     }
 
     fn retire_block(&mut self, block: &[DynInst]) {
-        // Batch path: tally operands/reads/writes locally and bucket each
-        // dependency distance once via the BUCKET_OF table into a
-        // first-bucket histogram, folded into the cumulative distribution
-        // at block end. The producer table itself is inherently sequential
-        // and is updated in order, exactly as the reference path does.
+        // Tally operands/reads/writes locally and bucket each dependency
+        // distance once via the BUCKET_OF table into a first-bucket
+        // histogram, folded into the cumulative distribution at block end.
+        // The producer table is inherently sequential and is updated in
+        // retirement order.
         let mut operands = 0u64;
         let mut reads = 0u64;
         let mut writes = 0u64;
@@ -148,6 +125,9 @@ impl TraceSink for RegTraffic {
                 operands += 1;
                 let prod = self.producer[s.unified()];
                 if prod != u64::MAX {
+                    // A read of a live register instance: counts for degree
+                    // of use (metric 12) and the dependency-distance
+                    // distribution; adjacent instructions have distance 1.
                     reads += 1;
                     let dist = index - 1 - prod;
                     if dist <= 64 {

@@ -176,15 +176,12 @@ impl ReuseDistance {
 
 impl TraceSink for ReuseDistance {
     fn retire(&mut self, inst: &DynInst) {
-        if let Some(m) = inst.mem {
-            self.access(m.addr);
-        }
+        self.retire_block(std::slice::from_ref(inst));
     }
 
     fn retire_block(&mut self, block: &[DynInst]) {
         // The LRU stack is mutated by every access, so reuse distance is
-        // inherently sequential; the batch path only skims the memory
-        // accesses out of the block in one pass.
+        // inherently sequential: skim the memory accesses out in order.
         for inst in block {
             if let Some(m) = inst.mem {
                 self.access(m.addr);

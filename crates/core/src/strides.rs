@@ -15,19 +15,9 @@ struct StrideDist {
 }
 
 impl StrideDist {
+    /// Count one stride: find the first cumulative bucket by binary search
+    /// over the threshold table and bump the suffix.
     fn record(&mut self, stride: u64) {
-        self.total += 1;
-        for (b, &threshold) in self.buckets.iter_mut().zip(&STRIDE_BUCKETS) {
-            if stride <= threshold {
-                *b += 1;
-            }
-        }
-    }
-
-    /// Batch-path record: find the first cumulative bucket by binary search
-    /// over the threshold table and bump the suffix, instead of testing all
-    /// five thresholds. Counts are identical to [`StrideDist::record`].
-    fn record_indexed(&mut self, stride: u64) {
         self.total += 1;
         let first = STRIDE_BUCKETS.partition_point(|&t| t < stride);
         for b in &mut self.buckets[first..] {
@@ -107,46 +97,30 @@ impl StrideAnalyzer {
 
 impl TraceSink for StrideAnalyzer {
     fn retire(&mut self, inst: &DynInst) {
-        let Some(m) = inst.mem else { return };
-        if m.is_store {
-            if let Some(prev) = self.last_global_store.replace(m.addr) {
-                self.global_store.record(prev.abs_diff(m.addr));
-            }
-            if let Some(prev) = self.last_local_store.insert(inst.pc, m.addr) {
-                self.local_store.record(prev.abs_diff(m.addr));
-            }
-        } else {
-            if let Some(prev) = self.last_global_load.replace(m.addr) {
-                self.global_load.record(prev.abs_diff(m.addr));
-            }
-            if let Some(prev) = self.last_local_load.insert(inst.pc, m.addr) {
-                self.local_load.record(prev.abs_diff(m.addr));
-            }
-        }
+        self.retire_block(std::slice::from_ref(inst));
     }
 
     fn retire_block(&mut self, block: &[DynInst]) {
-        // Batch path: keep the global last-address cursors in locals across
-        // the block and use indexed bucket updates. The per-PC maps are
-        // inherently sequential and updated in order, as the reference
-        // path does.
+        // Keep the global last-address cursors in locals across the block.
+        // The per-PC maps are inherently sequential and updated in
+        // retirement order.
         let mut last_load = self.last_global_load;
         let mut last_store = self.last_global_store;
         for inst in block {
             let Some(m) = inst.mem else { continue };
             if m.is_store {
                 if let Some(prev) = last_store.replace(m.addr) {
-                    self.global_store.record_indexed(prev.abs_diff(m.addr));
+                    self.global_store.record(prev.abs_diff(m.addr));
                 }
                 if let Some(prev) = self.last_local_store.insert(inst.pc, m.addr) {
-                    self.local_store.record_indexed(prev.abs_diff(m.addr));
+                    self.local_store.record(prev.abs_diff(m.addr));
                 }
             } else {
                 if let Some(prev) = last_load.replace(m.addr) {
-                    self.global_load.record_indexed(prev.abs_diff(m.addr));
+                    self.global_load.record(prev.abs_diff(m.addr));
                 }
                 if let Some(prev) = self.last_local_load.insert(inst.pc, m.addr) {
-                    self.local_load.record_indexed(prev.abs_diff(m.addr));
+                    self.local_load.record(prev.abs_diff(m.addr));
                 }
             }
         }
@@ -228,16 +202,18 @@ mod tests {
     }
 
     #[test]
-    fn indexed_record_matches_reference_record() {
-        let mut by_scan = StrideDist::default();
-        let mut by_index = StrideDist::default();
+    fn record_counts_every_threshold_the_stride_is_within() {
         // Every threshold, its neighbors, and some far-out strides.
-        for &s in &[0u64, 1, 7, 8, 9, 63, 64, 65, 511, 512, 513, 4095, 4096, 4097, u64::MAX] {
-            by_scan.record(s);
-            by_index.record_indexed(s);
+        let strides = [0u64, 1, 7, 8, 9, 63, 64, 65, 511, 512, 513, 4095, 4096, 4097, u64::MAX];
+        let mut dist = StrideDist::default();
+        for &s in &strides {
+            dist.record(s);
         }
-        assert_eq!(by_scan.buckets, by_index.buckets);
-        assert_eq!(by_scan.total, by_index.total);
+        for (b, &threshold) in STRIDE_BUCKETS.iter().enumerate() {
+            let within = strides.iter().filter(|&&s| s <= threshold).count() as u64;
+            assert_eq!(dist.buckets[b], within, "threshold {threshold}");
+        }
+        assert_eq!(dist.total, strides.len() as u64);
     }
 
     #[test]

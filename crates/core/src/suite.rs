@@ -30,8 +30,8 @@ pub struct CharacterizationSuite {
     pub strides: StrideAnalyzer,
     /// PPM branch predictability, GAg/PAg/GAs/PAs (metrics 44–47).
     pub ppm: [PpmPredictor; 4],
-    /// Batch-path scratch: the conditional-branch outcomes of the current
-    /// block, extracted once and fed to all four predictors.
+    /// Scratch: the conditional-branch outcomes of the current block,
+    /// extracted once and fed to all four predictors.
     branch_scratch: Vec<(u64, bool)>,
 }
 
@@ -82,21 +82,14 @@ impl CharacterizationSuite {
 
 impl TraceSink for CharacterizationSuite {
     fn retire(&mut self, inst: &DynInst) {
-        self.mix.retire(inst);
-        self.ilp.retire(inst);
-        self.reg.retire(inst);
-        self.wss.retire(inst);
-        self.strides.retire(inst);
-        for p in &mut self.ppm {
-            p.retire(inst);
-        }
+        self.retire_block(std::slice::from_ref(inst));
     }
 
     fn retire_block(&mut self, block: &[DynInst]) {
-        // Fan the whole block out analyzer by analyzer (each runs its own
-        // batch implementation over a hot block) instead of instruction by
-        // instruction. The analyzers are independent, so per-analyzer
-        // state evolves identically either way.
+        // Fan the whole block out analyzer by analyzer, each over a hot
+        // block, instead of instruction by instruction. The analyzers are
+        // independent, so per-analyzer state evolves identically either
+        // way.
         self.mix.retire_block(block);
         self.ilp.retire_block(block);
         self.reg.retire_block(block);

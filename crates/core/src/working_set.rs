@@ -17,8 +17,8 @@ pub struct WorkingSet {
     d_pages: HashSet<u64>,
     i_blocks: HashSet<u64>,
     i_pages: HashSet<u64>,
-    /// Batch-path scratch: candidate ids for the current block, deduped
-    /// before they are hashed into the sets.
+    /// Scratch: candidate ids for the current block, deduped before they
+    /// are hashed into the sets.
     scratch: Vec<u64>,
 }
 
@@ -81,17 +81,7 @@ fn flush_ids(scratch: &mut Vec<u64>, set: &mut HashSet<u64>) {
 
 impl TraceSink for WorkingSet {
     fn retire(&mut self, inst: &DynInst) {
-        self.i_blocks.insert(inst.pc >> BLOCK_SHIFT);
-        self.i_pages.insert(inst.pc >> PAGE_SHIFT);
-        if let Some(m) = inst.mem {
-            let last = last_byte(m.addr, m.size);
-            for b in (m.addr >> BLOCK_SHIFT)..=(last >> BLOCK_SHIFT) {
-                self.d_blocks.insert(b);
-            }
-            for p in (m.addr >> PAGE_SHIFT)..=(last >> PAGE_SHIFT) {
-                self.d_pages.insert(p);
-            }
-        }
+        self.retire_block(std::slice::from_ref(inst));
     }
 
     fn retire_block(&mut self, block: &[DynInst]) {

@@ -136,9 +136,6 @@ pub struct Analysis {
     pub hist_quantiles: Vec<QuantileRow>,
     /// Every summary counter, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Per-analyzer delivery wall time from the `profile.analyzer.*_us`
-    /// counters (collected under `MICA_ANALYZER_TIMING=1`), descending.
-    pub analyzer_us: Vec<(String, u64)>,
     /// `profile.cache.hit / (hit + miss*)`, when the counters exist.
     pub cache_hit_ratio: Option<f64>,
     /// Σ of `fault.*` injection counters.
@@ -230,15 +227,6 @@ fn derive_counter_metrics(a: &mut Analysis) {
             a.cache_hit_ratio = Some(h as f64 / total as f64);
         }
     }
-    a.analyzer_us = a
-        .counters
-        .iter()
-        .filter_map(|(n, v)| {
-            let name = n.strip_prefix("profile.analyzer.")?.strip_suffix("_us")?;
-            Some((name.to_string(), *v))
-        })
-        .collect();
-    a.analyzer_us.sort_by(|x, y| y.1.cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
     a.fault_injections =
         a.counters.iter().filter(|(n, _)| n.starts_with("fault.injected.")).map(|&(_, v)| v).sum();
     a.dropped_records = get("obs.trace.dropped_events").unwrap_or(0)
@@ -534,15 +522,6 @@ pub fn render(a: &Analysis) -> String {
         }
     }
 
-    if !a.analyzer_us.is_empty() {
-        let total: u64 = a.analyzer_us.iter().map(|&(_, v)| v).sum();
-        let _ = writeln!(out, "\n## Profile wall time by analyzer");
-        for (name, us) in &a.analyzer_us {
-            let frac = if total > 0 { *us as f64 / total as f64 * 100.0 } else { 0.0 };
-            let _ = writeln!(out, "  {name:10} {us:>9}us  {frac:>5.1}%");
-        }
-    }
-
     if !a.counters.is_empty() {
         let _ = writeln!(out, "\n## Counters");
         if let Some(r) = a.cache_hit_ratio {
@@ -598,8 +577,6 @@ pub struct JsonReport {
     pub kernels_top: Vec<JsonKernel>,
     /// Every summary counter, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Per-analyzer delivery wall time, descending.
-    pub analyzer_us: Vec<(String, u64)>,
     /// `profile.cache.hit / (hit + miss*)`, when the counters exist.
     pub cache_hit_ratio: Option<f64>,
     /// Σ of `fault.*` injection counters.
@@ -690,7 +667,6 @@ impl JsonReport {
                 })
                 .collect(),
             counters: a.counters.clone(),
-            analyzer_us: a.analyzer_us.clone(),
             cache_hit_ratio: a.cache_hit_ratio,
             fault_injections: a.fault_injections,
             dropped_records: a.dropped_records,

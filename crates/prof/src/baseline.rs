@@ -9,9 +9,10 @@
 //! machine in the history cannot move it much.
 //!
 //! A run is **comparable** to an entry when bin, thread count, workload
-//! table fingerprint, budget scale, and analyzer backend all match —
-//! timings across different configurations say nothing about regressions
-//! (and the batch backend exists precisely because its timings differ).
+//! table fingerprint, budget scale, and PMU sampling period (or its
+//! absence) all match — timings across different configurations say
+//! nothing about regressions, and a `MICA_PMU=1` run adds a PMU leg to
+//! every kernel.
 //!
 //! A stage regresses when it is slower than the baseline median by *both*
 //! the relative threshold (`max_ratio`) and the absolute floor
@@ -96,7 +97,7 @@ impl Baseline {
     }
 
     /// Entries comparable to `cur`: same bin, threads, table fingerprint,
-    /// budget scale, and analyzer backend.
+    /// budget scale, and PMU period.
     pub fn comparable(&self, cur: &RunSummary) -> Vec<&BaselineEntry> {
         self.entries
             .iter()
@@ -104,7 +105,7 @@ impl Baseline {
                 let s = &e.summary;
                 s.bin == cur.bin
                     && s.threads == cur.threads
-                    && s.backend == cur.backend
+                    && s.pmu_period == cur.pmu_period
                     && s.table_fingerprint == cur.table_fingerprint
                     && (s.scale - cur.scale).abs() <= 1e-12 * s.scale.abs().max(1.0)
             })
@@ -194,12 +195,12 @@ pub fn check(base: &Baseline, cur: &RunSummary, cfg: &CheckConfig) -> Vec<Findin
             "baseline",
             format!(
                 "no comparable baseline entries for bin={} threads={} scale={} \
-                 backend={} fingerprint={:#x} ({} total entries) — gate passes \
+                 pmu_period={:?} fingerprint={:#x} ({} total entries) — gate passes \
                  vacuously",
                 cur.bin,
                 cur.threads,
                 cur.scale,
-                cur.backend,
+                cur.pmu_period,
                 cur.table_fingerprint,
                 base.entries.len()
             ),

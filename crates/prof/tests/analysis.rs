@@ -37,7 +37,6 @@ fn summary() -> RunSummary {
         bin: "profile".to_string(),
         scale: 1.0,
         threads: 2,
-        backend: "ref".to_string(),
         pmu_period: None,
         table_fingerprint: 0xfeed,
         wall_s: 0.001,
@@ -136,22 +135,3 @@ fn analysis_without_summary_recovers_run_identity_from_spans() {
     assert_eq!(a.pools.len(), 1);
 }
 
-#[test]
-fn analyzer_attribution_renders_when_its_counters_exist() {
-    let trace = Trace::parse(&synthetic_trace());
-    let mut s = summary();
-    s.counters.push(CounterEntry { name: "profile.analyzer.ppm_us".to_string(), value: 600 });
-    s.counters.push(CounterEntry { name: "profile.analyzer.mix_us".to_string(), value: 200 });
-    s.counters.push(CounterEntry { name: "profile.analyzer.hpc_us".to_string(), value: 200 });
-    let a = analyze(&trace, Some(&s));
-    assert_eq!(a.analyzer_us[0], ("ppm".to_string(), 600), "descending by time: {:?}", a.analyzer_us);
-    assert_eq!(a.analyzer_us.len(), 3);
-    let report = render(&a);
-    assert!(report.contains("Profile wall time by analyzer"), "{report}");
-    assert!(report.contains("60.0%"), "ppm's share of 1000us:\n{report}");
-
-    // A run without MICA_ANALYZER_TIMING has none of the counters and the
-    // section stays out of the report entirely.
-    let plain = render(&analyze(&trace, Some(&summary())));
-    assert!(!plain.contains("by analyzer"), "{plain}");
-}

@@ -12,7 +12,6 @@ fn summary(profile_s: f64) -> RunSummary {
         bin: "profile".to_string(),
         scale: 1e-6,
         threads: 4,
-        backend: "ref".to_string(),
         pmu_period: None,
         table_fingerprint: 0xabcd,
         wall_s: profile_s + 0.1,
@@ -104,6 +103,62 @@ fn incomparable_baseline_passes_vacuously() {
     let gate = run_check(&dir, &[]);
     assert_eq!(gate.code, 0, "stdout:\n{}", gate.stdout);
     assert!(gate.stdout.contains("vacuously"), "{}", gate.stdout);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn pmu_on_run_is_not_gated_against_pmu_off_entries() {
+    // A MICA_PMU=1 run adds a PMU leg to every kernel: its timings say
+    // nothing against PMU-off entries, and a different period is a
+    // different configuration too.
+    let mut base = Baseline::empty();
+    base.record(summary(2.0), "pmu-off", 1_700_000_000);
+    let mut on = summary(2.0);
+    on.pmu_period = Some(1009);
+    assert!(
+        base.comparable(&on).is_empty(),
+        "PMU-on run matched a PMU-off entry"
+    );
+    base.record(on.clone(), "pmu-on", 1_700_000_001);
+    let labels: Vec<&str> = base
+        .comparable(&on)
+        .iter()
+        .map(|e| e.label.as_str())
+        .collect();
+    assert_eq!(labels, ["pmu-on"]);
+    on.pmu_period = Some(257);
+    assert!(
+        base.comparable(&on).is_empty(),
+        "a different PMU period matched"
+    );
+
+    let dir = temp_dir("pmu");
+    write_baseline(&dir.join("baseline.json"), &[2.0]);
+    let mut cur = summary(100.0);
+    cur.pmu_period = Some(1009);
+    write_summary(&dir.join("current.json"), &cur);
+    let gate = run_check(&dir, &[]);
+    assert_eq!(gate.code, 0, "stdout:\n{}", gate.stdout);
+    assert!(gate.stdout.contains("vacuously"), "{}", gate.stdout);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn entries_recorded_with_a_backend_field_still_load() {
+    // Trajectory entries written before the analyzer backend was retired
+    // carry a `backend` key; the reader ignores it.
+    let mut base = Baseline::empty();
+    base.record(summary(2.0), "old", 1_700_000_000);
+    let json = serde_json::to_string(&base)
+        .unwrap()
+        .replace("\"pmu_period\":", "\"backend\":\"batch\",\"pmu_period\":");
+    assert!(json.contains("\"backend\":\"batch\""), "{json}");
+    let dir = temp_dir("legacy-backend");
+    let path = dir.join("baseline.json");
+    std::fs::write(&path, json).unwrap();
+    let loaded = Baseline::load_or_empty(&path);
+    assert_eq!(loaded, base);
+    assert_eq!(loaded.comparable(&summary(2.0)).len(), 1);
     std::fs::remove_dir_all(dir).ok();
 }
 
