@@ -1,18 +1,21 @@
-//! Serial vs. parallel timings for the three pipelines that run on the
-//! `mica-par` worker pool. On a machine with 4+ cores the parallel
-//! 122-benchmark profiling pass should show a >= 2x speedup over
-//! `profile_122/serial`; on a single core the pair quantifies the pool's
-//! overhead instead (it should be within noise of serial).
+//! Timings for the three pipelines that run on the `mica-par` worker pool.
 //!
-//! `MICA_THREADS` applies: `MICA_THREADS=8 cargo bench --bench parallel`
-//! pins the pool size under test.
+//! `MICA_THREADS` sets the pool size under test, and `MICA_THREADS=1` is
+//! the serial baseline (every pool entry point then runs inline on the
+//! calling thread):
+//!
+//! ```text
+//! MICA_THREADS=1 cargo bench -p mica-bench --bench parallel
+//! MICA_THREADS=4 cargo bench -p mica-bench --bench parallel
+//! ```
+//!
+//! On a machine with 4+ cores the 122-benchmark profiling pass should run
+//! at least 2x faster at 4 threads than at 1; on a single core the pair
+//! measures the pool's overhead instead (it should be within noise).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mica_experiments::profile::{profile_all, profile_all_serial};
-use mica_stats::{
-    pairwise_distances, pairwise_distances_serial, zscore_normalize, DataSet, GaConfig,
-    GeneticSelector,
-};
+use mica_experiments::profile::profile_all;
+use mica_stats::{pairwise_distances, zscore_normalize, DataSet, GaConfig, GeneticSelector};
 use mica_workloads::NUM_BENCHMARKS;
 use std::hint::black_box;
 
@@ -32,16 +35,13 @@ fn synthetic_workload_space() -> DataSet {
 fn bench_parallel(c: &mut Criterion) {
     // Suppress the 122 per-benchmark progress lines each iteration would
     // otherwise print.
-    std::env::set_var("MICA_QUIET", "1");
-    // The headline pair: the full 122-benchmark profiling pass, at a tiny
+    std::env::set_var("MICA_LOG", "warn");
+    // The headline: the full 122-benchmark profiling pass, at a tiny
     // scale (every budget floors at 10 000 instructions) so a sample is
     // ~1.2 M simulated instructions rather than tens of millions.
     let mut g = c.benchmark_group("profile_122");
     g.sample_size(10);
     g.throughput(Throughput::Elements(NUM_BENCHMARKS as u64));
-    g.bench_function("serial", |b| {
-        b.iter(|| black_box(profile_all_serial(1e-9).expect("profiles").records.len()))
-    });
     g.bench_function("parallel", |b| {
         b.iter(|| black_box(profile_all(1e-9).expect("profiles").set.records.len()))
     });
@@ -51,7 +51,6 @@ fn bench_parallel(c: &mut Criterion) {
     let z = zscore_normalize(&ds);
     let mut g = c.benchmark_group("pairwise_distances_122x47");
     g.throughput(Throughput::Elements((122 * 121 / 2) as u64));
-    g.bench_function("serial", |b| b.iter(|| black_box(pairwise_distances_serial(&z).len())));
     g.bench_function("parallel", |b| b.iter(|| black_box(pairwise_distances(&z).len())));
     g.finish();
 
@@ -59,7 +58,6 @@ fn bench_parallel(c: &mut Criterion) {
     let sel = GeneticSelector::new(&ds, cfg);
     let mut g = c.benchmark_group("ga_20_generations");
     g.sample_size(10);
-    g.bench_function("serial", |b| b.iter(|| black_box(sel.run_serial().fitness)));
     g.bench_function("parallel", |b| b.iter(|| black_box(sel.run().fitness)));
     g.finish();
 }

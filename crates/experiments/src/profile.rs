@@ -1,11 +1,10 @@
 //! Profiling: run benchmarks through both characterizations.
 //!
-//! The parallel entry points run with **panic isolation and quarantine**:
+//! The whole-table entry points run with **panic isolation and quarantine**:
 //! a benchmark whose kernel panics (or returns a [`ProfileError`]) is
 //! recorded in [`ProfileOutcome::quarantined`] while the remaining 121
 //! benchmarks complete, so one bad kernel degrades a run instead of
-//! killing it. [`profile_all_serial`] keeps the old abort-on-first-error
-//! semantics as the reference implementation.
+//! killing it.
 //!
 //! Every entry point runs the VM's instruction blocks through one sink
 //! (the MICA suite, the HPC simulator and, under `MICA_PMU=1`, the
@@ -300,19 +299,6 @@ pub fn profile_fingerprint() -> u64 {
     table_fingerprint() ^ (NUM_METRICS as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-fn finish_set(
-    scale: f64,
-    results: Vec<Result<BenchRecord, ProfileError>>,
-) -> Result<ProfileSet, ProfileError> {
-    let mut records = Vec::with_capacity(results.len());
-    for r in results {
-        // Errors surface in table order, so the reported failure is the
-        // same benchmark regardless of parallel scheduling.
-        records.push(r?);
-    }
-    Ok(ProfileSet { scale, fingerprint: profile_fingerprint(), records })
-}
-
 /// One benchmark removed from a run: it panicked or returned a
 /// [`ProfileError`], and the pipeline continued on the survivors.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -415,8 +401,7 @@ fn finish_outcome(scale: f64, table: &[BenchmarkSpec], results: Vec<ItemOutcome>
 ///
 /// Results are merged in Table I order and each benchmark's simulation is
 /// self-contained (seeded VM, no shared state), so on a clean run the
-/// returned [`ProfileOutcome::set`] is bit-identical to
-/// [`profile_all_serial`] for any thread count.
+/// returned [`ProfileOutcome::set`] is bit-identical for any thread count.
 ///
 /// Each benchmark runs under panic isolation
 /// ([`mica_par::par_map_isolated`]): a kernel that panics or returns a
@@ -493,26 +478,6 @@ fn run_one(
         span.attr("insts", r.executed_instructions);
     }
     rec
-}
-
-/// Single-threaded reference implementation of [`profile_all`].
-///
-/// # Errors
-///
-/// See [`profile_all`].
-pub fn profile_all_serial(scale: f64) -> Result<ProfileSet, ProfileError> {
-    validate_scale(scale)?;
-    let table = benchmark_table();
-    let results = table
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let budget = scaled_budget(spec, scale);
-            obs::info!("[{:3}/{}] {} ({budget} insts)", i + 1, table.len(), spec.name());
-            run_one(spec, budget, Backend::Batch, None).map(|(r, _)| r)
-        })
-        .collect();
-    finish_set(scale, results)
 }
 
 /// Why a cached [`ProfileSet`] could not be reused. Every rejection is

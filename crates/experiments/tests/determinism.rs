@@ -1,25 +1,39 @@
-//! The parallel profiling pipeline must be bit-identical to its serial
-//! reference — the cached JSON artifacts are scientific outputs, and a
-//! thread-count-dependent byte in them would poison every downstream
-//! comparison.
+//! The parallel profiling pipeline must be bit-identical to a serial
+//! reference built here from the per-benchmark public API — the cached
+//! JSON artifacts are scientific outputs, and a thread-count-dependent byte
+//! in them would poison every downstream comparison.
 //!
 //! `MICA_THREADS` is pinned to 4 so the parallel path genuinely runs
 //! multi-threaded even on single-core CI machines.
 
 use mica_core::Backend;
-use mica_experiments::profile::{profile_all, profile_all_serial, profile_all_with};
+use mica_experiments::profile::{
+    profile_all, profile_all_with, profile_benchmark, profile_fingerprint, scaled_budget,
+};
+use mica_experiments::results::ProfileSet;
+
+/// Single-threaded reference for [`profile_all`]: every benchmark in table
+/// order on the calling thread, aborting on the first error.
+fn profile_all_serial(scale: f64) -> ProfileSet {
+    let records = mica_workloads::benchmark_table()
+        .iter()
+        .map(|spec| profile_benchmark(spec, scaled_budget(spec, scale)))
+        .collect::<Result<_, _>>()
+        .expect("serial profiling succeeds");
+    ProfileSet { scale, fingerprint: profile_fingerprint(), records }
+}
 
 #[test]
 fn parallel_profile_all_is_byte_identical_to_serial() {
     std::env::set_var("MICA_THREADS", "4");
-    std::env::set_var("MICA_QUIET", "1");
+    std::env::set_var("MICA_LOG", "warn");
     // Tiny scale: every budget hits the 10 000-instruction floor, so the
     // full 122-benchmark sweep stays fast while still exercising every
     // kernel through both characterizations.
     let outcome = profile_all(1e-9).expect("parallel profiling succeeds");
     assert!(outcome.quarantined.is_empty(), "clean run quarantines nothing");
     let par = outcome.set;
-    let ser = profile_all_serial(1e-9).expect("serial profiling succeeds");
+    let ser = profile_all_serial(1e-9);
     assert_eq!(par.records.len(), 122);
     assert_eq!(par, ser, "parallel and serial profile sets must be equal");
     let par_json = serde_json::to_string(&par).expect("serializes");
@@ -34,7 +48,7 @@ fn parallel_profile_all_is_byte_identical_to_serial() {
 #[test]
 fn batch_backend_is_byte_identical_to_ref() {
     std::env::set_var("MICA_THREADS", "4");
-    std::env::set_var("MICA_QUIET", "1");
+    std::env::set_var("MICA_LOG", "warn");
     let ref_run = profile_all_with(1e-9, Backend::Ref).expect("ref backend profiles");
     let batch_run = profile_all_with(1e-9, Backend::Batch).expect("batch backend profiles");
     assert!(ref_run.quarantined.is_empty() && batch_run.quarantined.is_empty());
@@ -56,7 +70,7 @@ fn batch_backend_is_byte_identical_to_ref() {
 #[test]
 fn tracing_does_not_change_results() {
     std::env::set_var("MICA_THREADS", "4");
-    std::env::set_var("MICA_QUIET", "1");
+    std::env::set_var("MICA_LOG", "warn");
     let dir = std::env::temp_dir().join(format!("mica_trace_determinism_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace_path = dir.join("trace.json");
@@ -130,7 +144,7 @@ fn tracing_does_not_change_results() {
 #[test]
 fn alloc_tracking_does_not_change_results() {
     std::env::set_var("MICA_THREADS", "4");
-    std::env::set_var("MICA_QUIET", "1");
+    std::env::set_var("MICA_LOG", "warn");
 
     let untracked = profile_all(1e-9).expect("untracked profiling succeeds").set;
 
@@ -157,7 +171,7 @@ fn alloc_tracking_does_not_change_results() {
 #[test]
 fn profile_order_follows_table_order_not_completion_order() {
     std::env::set_var("MICA_THREADS", "4");
-    std::env::set_var("MICA_QUIET", "1");
+    std::env::set_var("MICA_LOG", "warn");
     let set = profile_all(1e-9).expect("profiles").set;
     let expected: Vec<String> =
         mica_workloads::benchmark_table().iter().map(|s| s.name()).collect();

@@ -14,9 +14,9 @@
 //!   executed but not reported would mean the report under-describes the
 //!   kernel).
 //!
-//! This is the check that makes the report trustworthy as a JIT
-//! region-selection input: a loop table that missed the hot code would
-//! pass the lint gate but fail here.
+//! This is the check that makes the report trustworthy as a description of
+//! the kernels: a loop table that missed the hot code would pass the lint
+//! gate but fail here.
 
 use mica_experiments::lint::lint_and_survey;
 use mica_par::par_map;

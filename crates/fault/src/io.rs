@@ -14,9 +14,9 @@
 //! with an exponential 1, 2, 4, … ms schedule plus **deterministic
 //! jitter** seeded from the retry site name (no wall-clock randomness,
 //! so faulting runs reproduce, but two sites retrying the same artifact
-//! directory no longer thunder in lockstep), capped at `MICA_RETRY_CAP_MS`
-//! (default 32): `MICA_RETRIES` (default 3) extra attempts after the
-//! first.
+//! directory no longer thunder in lockstep), capped at
+//! [`BACKOFF_CAP_MS`] (32 ms): `MICA_RETRIES` (default 3) extra attempts
+//! after the first.
 //!
 //! Both helpers consult the installed [`crate::plan`] first, keyed by the
 //! caller-supplied `site` name, so CI can deterministically inject write
@@ -44,20 +44,8 @@ pub fn retries() -> u32 {
     }
 }
 
-/// Backoff cap in milliseconds: `MICA_RETRY_CAP_MS` if set to a positive
-/// integer, else 32.
-pub fn backoff_cap_ms() -> u64 {
-    match std::env::var("MICA_RETRY_CAP_MS") {
-        Err(_) => 32,
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("warning: ignoring invalid MICA_RETRY_CAP_MS={v:?}; using 32");
-                32
-            }
-        },
-    }
-}
+/// Backoff cap in milliseconds: no retry waits longer than this.
+pub const BACKOFF_CAP_MS: u64 = 32;
 
 /// FNV-1a hash of a site name — the seed for deterministic backoff jitter.
 fn site_seed(site: &str) -> u64 {
@@ -72,7 +60,7 @@ fn site_seed(site: &str) -> u64 {
 /// Backoff before retry attempt `attempt` (1-based) at `site`: the
 /// exponential base 1, 2, 4, … ms plus a jitter in `[0, base)` derived
 /// from the site name and the attempt number (splitmix64 of the FNV
-/// seed), the sum capped at [`backoff_cap_ms`]. No wall-clock randomness
+/// seed), the sum capped at [`BACKOFF_CAP_MS`]. No wall-clock randomness
 /// enters the schedule, so a given `(site, attempt)` pair always waits the
 /// same amount — runs reproduce — while distinct sites desynchronize.
 pub fn backoff_ms(site: &str, attempt: u32) -> u64 {
@@ -83,7 +71,7 @@ pub fn backoff_ms(site: &str, attempt: u32) -> u64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
-    (base + x % base).min(backoff_cap_ms())
+    (base + x % base).min(BACKOFF_CAP_MS)
 }
 
 /// The sibling temp path the atomic protocol stages into:
@@ -288,7 +276,6 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_deterministic_per_site() {
-        let _g = LOCK.lock().unwrap();
         let a: Vec<u64> = (1..=8).map(|n| backoff_ms("cache-write", n)).collect();
         let b: Vec<u64> = (1..=8).map(|n| backoff_ms("cache-write", n)).collect();
         assert_eq!(a, b, "same site, same schedule — no wall-clock randomness");
@@ -296,14 +283,13 @@ mod tests {
 
     #[test]
     fn backoff_stays_between_base_and_cap() {
-        let _g = LOCK.lock().unwrap();
         for site in ["cache-write", "results", "run-summary", "serve-index", "serve-client"] {
             for attempt in 1..=10u32 {
                 let base = 1u64 << attempt.saturating_sub(1).min(5);
                 let ms = backoff_ms(site, attempt);
                 assert!(ms >= base.min(32), "{site} attempt {attempt}: {ms} below base {base}");
                 assert!(ms < (2 * base).max(33), "{site} attempt {attempt}: {ms} past jitter range");
-                assert!(ms <= 32, "{site} attempt {attempt}: {ms} above the default cap");
+                assert!(ms <= 32, "{site} attempt {attempt}: {ms} above the cap");
             }
         }
         // Attempt 1 has base 1 and an empty jitter range: exactly 1 ms.
@@ -312,7 +298,6 @@ mod tests {
 
     #[test]
     fn backoff_jitter_separates_sites() {
-        let _g = LOCK.lock().unwrap();
         // With a 16 ms base and jitter in [0, 16), five distinct sites
         // colliding on the identical schedule would mean the seed is dead.
         let sites = ["cache-write", "results", "run-summary", "serve-index", "trace"];
@@ -322,14 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn backoff_cap_is_configurable() {
-        let _g = LOCK.lock().unwrap();
-        assert_eq!(backoff_cap_ms(), 32);
-        std::env::set_var("MICA_RETRY_CAP_MS", "4");
-        assert!((1..=8).all(|n| backoff_ms("cache-write", n) <= 4));
-        std::env::set_var("MICA_RETRY_CAP_MS", "bogus");
-        assert_eq!(backoff_cap_ms(), 32);
-        std::env::remove_var("MICA_RETRY_CAP_MS");
+    fn backoff_cap_holds() {
+        // From attempt 6 the base alone reaches the cap, so every site
+        // waits exactly the cap from there on, however deep the retry.
+        for site in ["cache-write", "results", "serve-client"] {
+            assert!((1..6).all(|n| backoff_ms(site, n) < BACKOFF_CAP_MS), "{site}");
+            assert!((6..=64).all(|n| backoff_ms(site, n) == BACKOFF_CAP_MS), "{site}");
+        }
     }
 
     #[test]

@@ -77,24 +77,13 @@ fn row_block(ds: &DataSet, i: usize) -> Vec<f64> {
 /// Euclidean distances between all row pairs of `ds`.
 ///
 /// Row blocks are computed on the [`mica_par`] worker pool and concatenated
-/// in row order, so the result is bit-identical to
-/// [`pairwise_distances_serial`] regardless of thread count.
+/// in row order, so the result is bit-identical for any thread count.
 pub fn pairwise_distances(ds: &DataSet) -> CondensedDistances {
     let n = ds.rows();
     let blocks = mica_par::par_map_indexed(n.saturating_sub(1), |i| row_block(ds, i));
     let mut values = Vec::with_capacity(n.saturating_sub(1) * n / 2);
     for block in blocks {
         values.extend(block);
-    }
-    CondensedDistances { n, values }
-}
-
-/// Single-threaded reference implementation of [`pairwise_distances`].
-pub fn pairwise_distances_serial(ds: &DataSet) -> CondensedDistances {
-    let n = ds.rows();
-    let mut values = Vec::with_capacity(n.saturating_sub(1) * n / 2);
-    for i in 0..n {
-        values.extend(row_block(ds, i));
     }
     CondensedDistances { n, values }
 }
@@ -183,27 +172,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_bitwise() {
-        let rows: Vec<Vec<f64>> = (0..37)
-            .map(|i| (0..8).map(|k| ((i * 13 + k * 7) % 29) as f64 / 3.0 - 4.5).collect())
-            .collect();
-        let ds = DataSet::from_rows(rows);
-        let par = pairwise_distances(&ds);
-        let ser = pairwise_distances_serial(&ds);
-        assert_eq!(par, ser);
-        assert!(par.values().iter().zip(ser.values()).all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
     fn degenerate_datasets_give_empty_distances() {
         // 0 rows (fully-quarantined run) and 1 row (single survivor) both
         // have no pairs; neither may panic.
         for ds in [DataSet::from_rows(Vec::new()), DataSet::from_rows(vec![vec![1.0, 2.0]])] {
-            let par = pairwise_distances(&ds);
-            let ser = pairwise_distances_serial(&ds);
-            assert_eq!(par, ser);
-            assert!(par.values().is_empty());
-            assert_eq!(par.max(), 0.0);
+            let d = pairwise_distances(&ds);
+            assert_eq!(d.num_items(), ds.rows());
+            assert!(d.values().is_empty());
+            assert_eq!(d.max(), 0.0);
         }
     }
 

@@ -213,32 +213,19 @@ impl GeneticSelector {
         best.0
     }
 
-    /// Score a batch of genomes, optionally on the worker pool. Fitness is
-    /// RNG-free, so parallel evaluation returns bit-identical scores in the
-    /// same order as a serial pass.
-    fn evaluate(&self, genomes: Vec<u64>, parallel: bool) -> Vec<(u64, f64)> {
-        if parallel {
-            mica_par::par_map(&genomes, |&g| (g, self.fitness(g)))
-        } else {
-            genomes.into_iter().map(|g| (g, self.fitness(g))).collect()
-        }
+    /// Score a batch of genomes on the worker pool. Fitness is RNG-free, so
+    /// the scores come back bit-identical, in input order, for any thread
+    /// count.
+    fn evaluate(&self, genomes: &[u64]) -> Vec<(u64, f64)> {
+        mica_par::par_map(genomes, |&g| (g, self.fitness(g)))
     }
 
     /// Run the GA to completion, evaluating population fitness on the
-    /// worker pool. Bit-identical to [`run_serial`](Self::run_serial): all
-    /// RNG consumption (breeding) happens serially; only the RNG-free
-    /// fitness scoring is distributed, and scores are merged back in
-    /// breeding order before the (stable) ranking sort.
+    /// worker pool. Bit-identical for any `MICA_THREADS`: all RNG
+    /// consumption (breeding) happens serially; only the RNG-free fitness
+    /// scoring is distributed, and scores are merged back in breeding order
+    /// before the (stable) ranking sort.
     pub fn run(&self) -> GaResult {
-        self.run_impl(true)
-    }
-
-    /// Single-threaded reference run; see [`run`](Self::run).
-    pub fn run_serial(&self) -> GaResult {
-        self.run_impl(false)
-    }
-
-    fn run_impl(&self, parallel: bool) -> GaResult {
         let cfg = self.config;
         let mut run_span = obs::span("ga", "ga_run");
         run_span.attr("population", cfg.population as u64);
@@ -246,7 +233,7 @@ impl GeneticSelector {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let seeds: Vec<u64> =
             (0..cfg.population.max(2)).map(|_| self.random_genome(&mut rng)).collect();
-        let mut pop = self.evaluate(seeds, parallel);
+        let mut pop = self.evaluate(&seeds);
         pop.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
 
         let mut history = Vec::new();
@@ -278,7 +265,7 @@ impl GeneticSelector {
                 children.push(self.repair(child, &mut rng));
             }
             let mut next: Vec<(u64, f64)> = pop[..elites].to_vec();
-            next.extend(self.evaluate(children, parallel));
+            next.extend(self.evaluate(&children));
             next.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
             pop = next;
             history.push(pop[0].1);
@@ -411,14 +398,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_matches_serial_exactly() {
+    fn run_is_identical_at_one_and_four_threads() {
+        // Other tests may run while the variable is flipped; none of their
+        // results depends on the pool width either.
         let ds = structured();
         let cfg = GaConfig { generations: 60, ..GaConfig::default() };
         let sel = GeneticSelector::new(&ds, cfg);
-        let par = sel.run();
-        let ser = sel.run_serial();
-        assert_eq!(par, ser, "parallel fitness evaluation must not change the evolution");
-        assert!(par.history.iter().zip(&ser.history).all(|(a, b)| a.to_bits() == b.to_bits()));
+        let outer = std::env::var_os("MICA_THREADS");
+        std::env::set_var("MICA_THREADS", "1");
+        let one = sel.run();
+        std::env::set_var("MICA_THREADS", "4");
+        let four = sel.run();
+        match outer {
+            Some(v) => std::env::set_var("MICA_THREADS", v),
+            None => std::env::remove_var("MICA_THREADS"),
+        }
+        assert_eq!(one, four, "the pool width must not change the evolution");
+        assert!(one.history.iter().zip(&four.history).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod roc;
 
 pub use corr_elim::{correlation_elimination, elimination_order, mean_abs_correlation};
 pub use dataset::{DataSet, ParseDataSetError};
-pub use distance::{pairwise_distances, pairwise_distances_serial, pearson, CondensedDistances};
+pub use distance::{pairwise_distances, pearson, CondensedDistances};
 pub use ga::{select_features, select_features_k, GaConfig, GaResult, GeneticSelector};
 pub use hier::{hierarchical_cluster, silhouette, Dendrogram, Merge};
 pub use kmeans::{choose_k_by_bic, kmeans, KMeansResult};

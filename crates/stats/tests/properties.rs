@@ -3,7 +3,7 @@
 
 use mica_stats::{
     auc, choose_k_by_bic, classify_pairs, correlation_elimination, hierarchical_cluster, kmeans,
-    pairwise_distances, pairwise_distances_serial, pearson, roc_curve, select_features_k,
+    pairwise_distances, pearson, roc_curve, select_features_k,
     silhouette, zscore_normalize, DataSet, GaConfig, Pca,
 };
 use proptest::prelude::*;
@@ -16,6 +16,36 @@ fn random_dataset() -> impl Strategy<Value = DataSet> {
         )
         .prop_map(DataSet::from_rows)
     })
+}
+
+/// Single-threaded reference for [`pairwise_distances`]: the condensed
+/// upper triangle, row by row, summed in column order.
+fn serial_distances(ds: &DataSet) -> Vec<f64> {
+    let n = ds.rows();
+    let mut values = Vec::new();
+    for i in 0..n {
+        for j in i + 1..n {
+            let d2: f64 = ds.row(i).iter().zip(ds.row(j)).map(|(x, y)| (x - y) * (x - y)).sum();
+            values.push(d2.sqrt());
+        }
+    }
+    values
+}
+
+fn assert_matches_serial(ds: &DataSet) {
+    let par = pairwise_distances(ds);
+    let ser = serial_distances(ds);
+    assert_eq!(par.num_items(), ds.rows());
+    assert_eq!(par.len(), ser.len());
+    assert!(par.values().iter().zip(&ser).all(|(a, b)| a.to_bits() == b.to_bits()));
+}
+
+#[test]
+fn parallel_distances_match_serial_on_a_wide_table() {
+    let rows: Vec<Vec<f64>> = (0..37)
+        .map(|i| (0..8).map(|k| ((i * 13 + k * 7) % 29) as f64 / 3.0 - 4.5).collect())
+        .collect();
+    assert_matches_serial(&DataSet::from_rows(rows));
 }
 
 proptest! {
@@ -164,12 +194,7 @@ proptest! {
 
     #[test]
     fn parallel_distances_match_serial_bitwise(ds in random_dataset()) {
-        let par = pairwise_distances(&ds);
-        let ser = pairwise_distances_serial(&ds);
-        prop_assert_eq!(&par, &ser);
-        for (a, b) in par.values().iter().zip(ser.values()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_matches_serial(&ds);
     }
 
     #[test]

@@ -15,23 +15,26 @@
 //!    are endless steady-state loops by design);
 //! 3. a forward may-uninitialized dataflow over the integer and FP register
 //!    files ([`may_uninit_reads`]) flags read-before-write;
-//! 4. memory lints on provably-constant addresses ([`const_accesses`]):
-//!    segment bounds, text-segment collisions, width misalignment;
+//! 4. memory lints, all read off the abstract state at each access: a
+//!    provably-constant address (a singleton interval) is checked against
+//!    the text segment, the declared segments and its width's alignment; a
+//!    bounded but non-constant address range is checked against the
+//!    declared segments as a whole;
 //! 5. structural lints: redundant jumps, no-op branches, self-loops with no
 //!    exit, unresolvable indirect transfers;
 //! 6. an abstract interpretation ([`Analysis`]) layering dominators and the
 //!    natural-loop forest ([`DomTree`], [`LoopForest`]), backward liveness
-//!    and reaching definitions ([`Liveness`], [`ReachingDefs`]), and a
-//!    forward interval ∧ constant domain ([`AbsState`]) with widening at
-//!    loop headers on top of the CFG — and uses constant propagation to
+//!    ([`Liveness`]), and a forward interval ∧ constant domain
+//!    ([`AbsState`]) with widening at loop headers on top of the CFG — the
+//!    one address analysis behind item 4 — and uses its constants to
 //!    *tighten* the conservative indirect-target pool before the other
 //!    passes run;
-//! 7. analysis-backed lints: dead stores, memory accesses whose whole value
-//!    range provably misses every declared segment, loops whose every exit
-//!    branch is statically refuted;
+//! 7. analysis-backed lints: dead stores, loops whose every exit branch is
+//!    statically refuted;
 //! 8. a dynamic soundness harness ([`soundness::check_execution`]) that
-//!    single-steps a [`tinyisa::Vm`] and refutes the static claims against
-//!    every retired instruction.
+//!    single-steps a [`tinyisa::Vm`] and refutes the static claims — the
+//!    abstract states the memory lints rest on included — against every
+//!    retired instruction.
 //!
 //! Findings carry a [`Severity`], the offending pc, and the
 //! [`tinyisa::disassemble_op`] rendering of the instruction:
@@ -63,9 +66,9 @@ pub mod soundness;
 
 pub use absint::{branch_outcome, transfer, AbsState, Analysis, FpAbs, IntAbs};
 pub use cfg::{Block, Cfg};
-pub use dataflow::{const_accesses, may_uninit_reads, Const, ConstAccess, RegSet, UninitRead};
+pub use dataflow::{may_uninit_reads, RegSet, UninitRead};
 pub use dom::{DomTree, LoopForest, NaturalLoop};
-pub use liveness::{Liveness, ReachingDefs};
+pub use liveness::Liveness;
 pub use soundness::{check_execution, SoundnessReport, Violation};
 
 use mica_obs as obs;
@@ -135,8 +138,9 @@ pub enum Lint {
     /// reads afterwards (loads and the implicit `call` link write are
     /// exempt — the access, not the value, may be the point).
     DeadStore,
-    /// A memory access whose *entire* possible address range (from the
-    /// interval analysis) misses every declared data segment.
+    /// A memory access whose address is not a single constant, but whose
+    /// *entire* possible range (from the interval analysis) misses every
+    /// declared data segment.
     IntervalOutOfSegment,
     /// A loop with conditional exit branches, every one of which the
     /// interval analysis refutes: the branch syntax promises an exit the
@@ -379,45 +383,74 @@ pub fn verify_with_analysis(prog: &Program, analysis: &Analysis, config: &Verify
 
     drop(dataflow_span);
 
-    // --- (c) constant-address memory lints ---
+    // --- (c) memory lints, from the abstract state at each access ---
     let memory_span = obs::span("verify", "memory");
     let text_start = prog.base();
     let text_end = prog.base() + insts.len() as u64 * INST_BYTES;
-    for acc in const_accesses(prog, cfg) {
-        let end = acc.addr.saturating_add(acc.width);
-        let kind = if acc.is_store { "store" } else { "load" };
-        if acc.addr < text_end && end > text_start {
-            push(
-                &mut findings,
-                Lint::AccessInText,
-                acc.idx,
-                format!("{kind} of {} byte(s) at {:#x} lands in the text segment", acc.width, acc.addr),
-            );
-        } else if !config.segments.is_empty()
-            && !config.segments.iter().any(|s| s.contains(acc.addr, acc.width))
-        {
-            let names: Vec<&str> = config.segments.iter().map(|s| s.name).collect();
-            push(
-                &mut findings,
-                Lint::OutOfSegment,
-                acc.idx,
-                format!(
-                    "{kind} of {} byte(s) at provably-constant address {:#x} misses every \
-                     declared data segment ({})",
-                    acc.width,
-                    acc.addr,
-                    names.join(", ")
-                ),
-            );
+    for (idx, op) in insts.iter().enumerate() {
+        let Some(m) = op.mem_ref() else { continue };
+        // No state: no execution reaches the access (the block is
+        // unreachable, or only a path the interpreter refutes leads there).
+        let Some(st) = analysis.inst_state(idx) else { continue };
+        let base = st.read_int(m.base);
+        let width = m.width.bytes();
+        let kind = if m.is_store { "store" } else { "load" };
+        if let Some(base) = base.singleton() {
+            let addr = (base as u64).wrapping_add(m.offset as u64);
+            if addr < text_end && addr.saturating_add(width) > text_start {
+                push(
+                    &mut findings,
+                    Lint::AccessInText,
+                    idx,
+                    format!("{kind} of {width} byte(s) at {addr:#x} lands in the text segment"),
+                );
+            } else if !config.segments.is_empty()
+                && !config.segments.iter().any(|s| s.contains(addr, width))
+            {
+                let names: Vec<&str> = config.segments.iter().map(|s| s.name).collect();
+                push(
+                    &mut findings,
+                    Lint::OutOfSegment,
+                    idx,
+                    format!(
+                        "{kind} of {width} byte(s) at provably-constant address {addr:#x} \
+                         misses every declared data segment ({})",
+                        names.join(", ")
+                    ),
+                );
+            }
+            if !addr.is_multiple_of(width) {
+                push(
+                    &mut findings,
+                    Lint::MisalignedAccess,
+                    idx,
+                    format!("{kind} of {width} byte(s) at {addr:#x} is not {width}-byte aligned"),
+                );
+            }
+            continue;
         }
-        if acc.addr % acc.width != 0 {
+        if config.segments.is_empty() || base.is_top() {
+            continue;
+        }
+        let lo = base.lo as i128 + m.offset as i128;
+        let one_past = base.hi as i128 + m.offset as i128 + width as i128;
+        if lo < 0 || one_past > i64::MAX as i128 {
+            continue; // range could wrap as an address: undecidable
+        }
+        let (lo, one_past) = (lo as u64, one_past as u64);
+        let hits_segment = config
+            .segments
+            .iter()
+            .any(|s| lo < s.start.saturating_add(s.len) && one_past > s.start);
+        let hits_text = lo < text_end && one_past > text_start;
+        if !hits_segment && !hits_text {
             push(
                 &mut findings,
-                Lint::MisalignedAccess,
-                acc.idx,
+                Lint::IntervalOutOfSegment,
+                idx,
                 format!(
-                    "{kind} of {} byte(s) at {:#x} is not {}-byte aligned",
-                    acc.width, acc.addr, acc.width
+                    "{kind} of {width} byte(s) ranges over [{lo:#x}, {one_past:#x}), \
+                     which misses every declared data segment"
                 ),
             );
         }
@@ -527,59 +560,8 @@ pub fn verify_with_analysis(prog: &Program, analysis: &Analysis, config: &Verify
 
     drop(liveness_span);
 
-    // --- (f) interval-range memory lints ---
+    // --- (f) loops whose every exit is statically refuted ---
     let absint_span = obs::span("verify", "absint");
-    if !config.segments.is_empty() {
-        // Sites the flat-constant pass already reported keep one finding.
-        let const_flagged: std::collections::HashSet<usize> = findings
-            .iter()
-            .filter(|f| matches!(f.lint, Lint::OutOfSegment | Lint::AccessInText))
-            .map(|f| f.idx)
-            .collect();
-        for (bi, b) in cfg.blocks().iter().enumerate() {
-            if !cfg.is_reachable(bi) {
-                continue;
-            }
-            for (off, op) in insts[b.start..b.end].iter().enumerate() {
-                let idx = b.start + off;
-                let Some(m) = op.mem_ref() else { continue };
-                if const_flagged.contains(&idx) {
-                    continue;
-                }
-                let Some(st) = analysis.inst_state(idx) else { continue };
-                let base = st.read_int(m.base);
-                if base.is_top() {
-                    continue;
-                }
-                let width = m.width.bytes();
-                let lo = base.lo as i128 + m.offset as i128;
-                let one_past = base.hi as i128 + m.offset as i128 + width as i128;
-                if lo < 0 || one_past > i64::MAX as i128 {
-                    continue; // range could wrap as an address: undecidable
-                }
-                let (lo, one_past) = (lo as u64, one_past as u64);
-                let hits_segment = config
-                    .segments
-                    .iter()
-                    .any(|s| lo < s.start.saturating_add(s.len) && one_past > s.start);
-                let hits_text = lo < text_end && one_past > text_start;
-                if !hits_segment && !hits_text {
-                    let kind = if m.is_store { "store" } else { "load" };
-                    push(
-                        &mut findings,
-                        Lint::IntervalOutOfSegment,
-                        idx,
-                        format!(
-                            "{kind} of {width} byte(s) ranges over [{lo:#x}, {one_past:#x}), \
-                             which misses every declared data segment"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // --- (g) loops whose every exit is statically refuted ---
     for lp in &analysis.loops().loops {
         if lp.exits.is_empty() || !cfg.is_reachable(lp.header) {
             continue; // endless steady-state loops are the kernel shape
@@ -637,6 +619,13 @@ mod tests {
         let mut a = Asm::new();
         build(&mut a);
         verify(&a.assemble().unwrap(), config)
+    }
+
+    fn data_segment() -> VerifyConfig {
+        VerifyConfig {
+            segments: vec![Segment { name: "data", start: 0x8000, len: 0x100 }],
+            ..VerifyConfig::default()
+        }
     }
 
     fn lints(r: &Report) -> Vec<Lint> {
@@ -736,10 +725,6 @@ mod tests {
 
     #[test]
     fn out_of_segment_constant_store_is_an_error() {
-        let cfg = VerifyConfig {
-            segments: vec![Segment { name: "data", start: 0x8000, len: 0x100 }],
-            ..VerifyConfig::default()
-        };
         let r = report_with(
             |a| {
                 a.li(T0, 0x8000);
@@ -748,7 +733,7 @@ mod tests {
                 a.st8(T1, T0, 0x100); // one past: out of segment
                 a.halt();
             },
-            &cfg,
+            &data_segment(),
         );
         assert_eq!(lints(&r), vec![Lint::OutOfSegment]);
         assert_eq!(r.findings[0].idx, 3);
@@ -869,6 +854,121 @@ mod tests {
             a.halt();
         });
         assert!(r.findings.is_empty(), "{r}");
+    }
+
+    #[test]
+    fn shifted_constant_into_text_is_an_access_in_text() {
+        let r = report(|a| {
+            a.li(T0, 0x800);
+            a.slli(T0, T0, 5); // 0x10000: the text base, built without li
+            a.st8(T0, T0, 0);
+            a.halt();
+        });
+        assert_eq!(lints(&r), vec![Lint::AccessInText]);
+        assert_eq!(r.findings[0].idx, 2);
+    }
+
+    #[test]
+    fn added_constant_with_a_bad_width_is_misaligned() {
+        let r = report(|a| {
+            a.li(T0, 0x8000);
+            a.li(T1, 4);
+            a.add(T2, T0, T1); // 0x8004
+            a.ld8(T3, T2, 0);
+            a.halt();
+        });
+        assert_eq!(lints(&r), vec![Lint::MisalignedAccess]);
+        assert!(r.findings[0].message.contains("0x8004"), "{r}");
+    }
+
+    #[test]
+    fn added_constant_one_past_the_segment_is_out_of_segment() {
+        let r = report_with(
+            |a| {
+                a.li(T0, 0x8000);
+                a.li(T1, 0x100);
+                a.add(T2, T0, T1); // 0x8100: one past "data"
+                a.li(T3, 5);
+                a.st8(T3, T2, 0);
+                a.halt();
+            },
+            &data_segment(),
+        );
+        assert_eq!(lints(&r), vec![Lint::OutOfSegment]);
+        assert!(r.findings[0].message.contains("address 0x8100"), "{r}");
+    }
+
+    #[test]
+    fn wild_store_on_a_refuted_path_is_not_reported() {
+        let r = report_with(
+            |a| {
+                let taken = a.label();
+                a.li(T0, 1);
+                a.bne(T0, ZERO, taken); // always taken
+                a.li(T1, 0x10);
+                a.st8(T0, T1, 0); // wild, but never executes
+                a.bind(taken);
+                a.halt();
+            },
+            &data_segment(),
+        );
+        assert!(r.findings.is_empty(), "{r}");
+    }
+
+    #[test]
+    fn constant_addresses_track_li_addi_and_mov() {
+        let r = report_with(
+            |a| {
+                a.li(T0, 0x8000);
+                a.addi(T1, T0, 0x10);
+                a.mov(T2, T1);
+                a.ld8(T3, T2, 0xf8); // provably 0x8108
+                a.halt();
+            },
+            &data_segment(),
+        );
+        assert_eq!(lints(&r), vec![Lint::OutOfSegment]);
+        assert_eq!(r.findings[0].idx, 3);
+        assert!(r.findings[0].message.contains("0x8108"), "{r}");
+    }
+
+    #[test]
+    fn divergent_constants_are_not_a_constant_address() {
+        let config = VerifyConfig {
+            entry_regs: vec![RegRef::Int(1)],
+            ..VerifyConfig::default()
+        };
+        let r = report_with(
+            |a| {
+                let (other, join) = (a.label(), a.label());
+                a.beq(A0, ZERO, other); // A0 is preset: either way
+                a.li(T1, 0x8000);
+                a.jmp(join);
+                a.bind(other);
+                a.li(T1, 0x9000);
+                a.bind(join);
+                a.st8(A0, T1, 4); // misaligned either way, but not one address
+                a.li(T2, 0x7004);
+                a.st8(A0, T2, 0); // provably 0x7004: misaligned
+                a.halt();
+            },
+            &config,
+        );
+        assert_eq!(lints(&r), vec![Lint::MisalignedAccess]);
+        assert_eq!(r.findings[0].idx, 6);
+    }
+
+    #[test]
+    fn x0_base_is_the_constant_zero() {
+        let r = report_with(
+            |a| {
+                a.ld1(T0, ZERO, 0x40);
+                a.halt();
+            },
+            &data_segment(),
+        );
+        assert_eq!(lints(&r), vec![Lint::OutOfSegment]);
+        assert!(r.findings[0].message.contains("0x40"), "{r}");
     }
 
     #[test]
